@@ -1,7 +1,8 @@
 """Command line interface.
 
 Commands: check, emit, explain, features, enumerate. Exit code 0 on success,
-1 when error diagnostics were reported, 2 on usage or I/O problems.
+1 when error diagnostics were reported, 2 on usage or I/O problems, and 141,
+silently, when standard output is closed early by its reader.
 Diagnostics go to standard error as <file>:<line>:<col>: <severity>[<code>]:
 <message> (or as a JSON array with --format json); summaries and results go
 to standard output. ANSI color is used only on a terminal and never when
@@ -29,12 +30,21 @@ from .resolver import Diagnostic, ResolvedProduct, explain, resolve
 from .spldef import parse_spl_definition
 
 USAGE_ERROR = 2
+CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (as in `lfc enumerate ... | head -1`). Point
+        # stdout at devnull so the interpreter's final flush fails silently.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return CLOSED_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -142,12 +152,10 @@ def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
 
 def _load(args) -> ResolvedProduct | int:
     """Parse and resolve both inputs; an int is an exit code to return."""
-    try:
-        spec_text = _read(args.spec)
-        spl_text = _read(args.spl)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    texts = _read_inputs(args.spec, args.spl)
+    if texts is None:
         return USAGE_ERROR
+    spec_text, spl_text = texts
     fmt = getattr(args, "format", "text")
     try:
         spec = parse(spec_text, filename=args.spec)
@@ -163,9 +171,22 @@ def _load(args) -> ResolvedProduct | int:
     return resolve(spec, definition)
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read_inputs(*paths: str) -> list[str] | None:
+    """The text of each UTF-8 file, or None after a one-line error naming
+    the first file that cannot be read or decoded."""
+    texts = []
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                texts.append(handle.read())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None
+        except UnicodeDecodeError as exc:
+            print(f"error: {path}: not UTF-8 text (byte {exc.start}: {exc.reason})",
+                  file=sys.stderr)
+            return None
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +275,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        text = _read(args.spl)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    texts = _read_inputs(args.spl)
+    if texts is None:
         return USAGE_ERROR
+    text, = texts
     try:
         definition = parse_spl_definition(text, filename=args.spl)
     except ParseError as exc:

@@ -16,8 +16,6 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-import jsonschema
-
 from .errors import UnresolvedErrors
 from .resolver import ResolvedProduct
 from .syntax import EntityDecl, LayerDecl, MapDecl, PropertyDecl
@@ -112,6 +110,7 @@ def _schema() -> dict:
 
 def verify_schema(text: str) -> bool:
     """True iff the text is JSON conforming to the derivation-config schema."""
+    import jsonschema  # here, not at the top: importing it costs every lfc call
     try:
         document = json.loads(text)
     except json.JSONDecodeError:

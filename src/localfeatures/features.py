@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterator, Literal
 
 from .errors import (
@@ -111,6 +112,10 @@ class FeatureModel:
     @cached_property
     def feature_names(self) -> frozenset[str]:
         return frozenset(self.by_name)
+
+    @cached_property
+    def enumeration_plan(self) -> EnumerationPlan:
+        return _enumeration_plan(self)
 
     def iter_features(self) -> Iterator[Feature]:
         """Yield every feature in preorder."""
@@ -268,56 +273,137 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
 # ---------------------------------------------------------------------------
 
 def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[Configuration]:
-    """All valid configurations, by brute force over every feature subset.
+    """All valid configurations, by backtracking over the tree.
 
-    Validity is re-derived here directly from the tree semantics instead of
-    delegating to validate_configuration, so the two routes check each other.
+    Features are decided one at a time in preorder, each with its parent
+    already selected: the root and mandatory children are forced, an
+    unselected feature drops its whole subtree in one step, an xor group
+    takes exactly one child and an or group at least one (the last undecided
+    child is forced when the group still needs it), and each cross-tree
+    constraint is checked as soon as both of its endpoints are decided.
+    Validity is re-derived here from the tree semantics instead of delegating
+    to validate_configuration, so the two routes check each other.
     Deterministic: the result is sorted by the sorted feature-name tuple.
     """
-    names = sorted(fm.feature_names)
-    if len(names) > max_features:
+    count = len(fm.feature_names)
+    if count > max_features:
         raise ModelTooLarge(
-            f"model has {len(names)} features, enumeration capped at {max_features}")
+            f"model has {count} features, enumeration capped at {max_features}")
 
+    plan = fm.enumeration_plan
+    names, end, rule, last = plan.names, plan.end, plan.rule, plan.last
+    earlier, needs, forbids, skip_forbids = (
+        plan.earlier, plan.needs, plan.forbids, plan.skip_forbids)
+    n = len(names)
+    sel = [False] * n
+    unselected = [False] * n
     found: list[Configuration] = []
-    for bits in range(1 << len(names)):
-        subset = frozenset(n for i, n in enumerate(names) if bits >> i & 1)
-        if _satisfies(fm, subset):
-            found.append(subset)
+    # Each entry is a position and the decision still to try there, under
+    # the decisions that sel holds for every earlier position.
+    stack: list[tuple[int, bool]] = [(0, True)]
+    while stack:
+        i, take = stack.pop()
+        while True:
+            if take:
+                if (any(not sel[j] for j in needs[i])
+                        or any(sel[j] for j in forbids[i])):
+                    break
+                sel[i] = True
+                i += 1
+            else:
+                if any(sel[j] for j in skip_forbids[i]):
+                    break
+                sel[i:end[i]] = unselected[i:end[i]]
+                i = end[i]
+            if i == n:
+                found.append(frozenset(compress(names, sel)))
+                break
+            r = rule[i]
+            taken = any(sel[j] for j in earlier[i])
+            if r == _XOR and taken:
+                take = False
+            elif r == _FORCED or (last[i] and not taken):
+                take = True
+            else:
+                stack.append((i, False))
+                take = True
     found.sort(key=sorted)
     return found
 
 
-def _satisfies(fm: FeatureModel, sel: frozenset[str]) -> bool:
-    if fm.root.name not in sel:
-        return False
-    for f in fm.iter_features():
-        here = f.name in sel
-        if f.group is None:
-            for c in f.children:
-                if c.name in sel and not here:
-                    return False
-                if here and c.kind == MANDATORY and c.name not in sel:
-                    return False
-        else:
-            count = 0
-            for c in f.children:
-                if c.name in sel:
-                    if not here:
-                        return False
-                    count += 1
-            if here and f.group == XOR and count != 1:
-                return False
-            if here and f.group == OR and count == 0:
-                return False
+# How enumerate_configurations decides a feature whose parent is selected.
+# A group's last child is selected when no earlier sibling is.
+_FORCED = 0   # the root or a mandatory child: selected
+_FREE = 1     # an optional or an or-group child: either way
+_XOR = 2      # an xor-group child: unselected once an earlier sibling is
+
+
+@dataclass(frozen=True)
+class EnumerationPlan:
+    """A feature model laid out for enumerate_configurations.
+
+    Positions are preorder indices, and a feature's subtree occupies
+    positions [i, end[i]). Grouped children list their earlier siblings, and
+    last marks a group's final child. Each cross-tree constraint is checked
+    once, when its second endpoint is decided: selecting a feature needs
+    some earlier positions selected and forbids others, and dropping a
+    subtree forbids the left sides of the requires constraints whose right
+    sides it holds.
+    """
+
+    names: tuple[str, ...]
+    end: tuple[int, ...]
+    rule: tuple[int, ...]
+    last: tuple[bool, ...]
+    earlier: tuple[tuple[int, ...], ...]
+    needs: tuple[tuple[int, ...], ...]
+    forbids: tuple[tuple[int, ...], ...]
+    skip_forbids: tuple[tuple[int, ...], ...]
+
+
+def _enumeration_plan(fm: FeatureModel) -> EnumerationPlan:
+    order = list(fm.iter_features())
+    pos = {f.name: i for i, f in enumerate(order)}
+    n = len(order)
+    parent = [-1] * n
+    rule = [_FORCED] * n
+    last = [False] * n
+    earlier: list[tuple[int, ...]] = [()] * n
+    for p, f in enumerate(order):
+        kids = [pos[c.name] for c in f.children]
+        for k, (i, c) in enumerate(zip(kids, f.children)):
+            parent[i] = p
+            if f.group is None:
+                rule[i] = _FORCED if c.kind == MANDATORY else _FREE
+            else:
+                rule[i] = _XOR if f.group == XOR else _FREE
+                last[i] = k == len(kids) - 1
+                earlier[i] = tuple(kids[:k])
+    end = [0] * n
+    for i in reversed(range(n)):
+        children = order[i].children
+        end[i] = end[pos[children[-1].name]] if children else i + 1
+
+    needs: list[list[int]] = [[] for _ in range(n)]
+    forbids: list[list[int]] = [[] for _ in range(n)]
+    skip_forbids: list[list[int]] = [[] for _ in range(n)]
     for ct in fm.constraints:
-        if ct.kind == REQUIRES:
-            if ct.lhs in sel and ct.rhs not in sel:
-                return False
+        lhs, rhs = pos[ct.lhs], pos[ct.rhs]
+        if ct.kind == EXCLUDES:
+            forbids[max(lhs, rhs)].append(min(lhs, rhs))
+        elif lhs > rhs:
+            needs[lhs].append(rhs)
         else:
-            if ct.lhs in sel and ct.rhs in sel:
-                return False
-    return True
+            # rhs is dropped with any subtree holding it; a subtree rooted
+            # after lhs cannot hold lhs, which must then be unselected
+            i = rhs
+            while i > lhs:
+                skip_forbids[i].append(lhs)
+                i = parent[i]
+    return EnumerationPlan(
+        tuple(f.name for f in order), tuple(end), tuple(rule), tuple(last),
+        tuple(earlier), tuple(map(tuple, needs)), tuple(map(tuple, forbids)),
+        tuple(map(tuple, skip_forbids)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import os
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import localfeatures
 from localfeatures import parse, parse_spl_definition, resolve
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -45,3 +47,12 @@ def ecommerce_source() -> str:
 @pytest.fixture(scope="session")
 def ecommerce_definition(ecommerce_source):
     return parse_spl_definition(ecommerce_source, filename="ecommerce.spl")
+
+
+@pytest.fixture(scope="session")
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this package."""
+    env = dict(os.environ)
+    parent = str(Path(localfeatures.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [parent, env.get("PYTHONPATH")]))
+    return env

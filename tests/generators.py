@@ -1,6 +1,9 @@
 """Seeded random generators for property tests: feature models, product
 specification ASTs, and token-soup fuzz inputs. Everything is a pure function
-of the passed random.Random, so failures replay from the seed."""
+of the passed random.Random, so failures replay from the seed.
+
+Also the brute-force configuration enumerator that the library's enumerator
+is checked against."""
 
 import random
 
@@ -11,6 +14,7 @@ from localfeatures.features import (
     OR,
     REQUIRES,
     XOR,
+    Configuration,
     CrossTreeConstraint,
     Feature,
     FeatureModel,
@@ -59,6 +63,52 @@ def random_feature_model(rng: random.Random, max_features: int = 12) -> FeatureM
         kind = rng.choice((REQUIRES, EXCLUDES))
         constraints.append(CrossTreeConstraint(kind, names[lhs], names[rhs]))
     return build_feature_model(build(0), tuple(constraints))
+
+
+def brute_force_configurations(fm: FeatureModel) -> list[Configuration]:
+    """All valid configurations, by checking every one of the 2^n feature
+    subsets against the tree semantics; sorted as enumerate_configurations
+    sorts them. Exponential on purpose: it is the slow oracle."""
+    names = sorted(fm.feature_names)
+    found: list[Configuration] = []
+    for bits in range(1 << len(names)):
+        subset = frozenset(n for i, n in enumerate(names) if bits >> i & 1)
+        if _satisfies(fm, subset):
+            found.append(subset)
+    found.sort(key=sorted)
+    return found
+
+
+def _satisfies(fm: FeatureModel, sel: frozenset[str]) -> bool:
+    if fm.root.name not in sel:
+        return False
+    for f in fm.iter_features():
+        here = f.name in sel
+        if f.group is None:
+            for c in f.children:
+                if c.name in sel and not here:
+                    return False
+                if here and c.kind == MANDATORY and c.name not in sel:
+                    return False
+        else:
+            count = 0
+            for c in f.children:
+                if c.name in sel:
+                    if not here:
+                        return False
+                    count += 1
+            if here and f.group == XOR and count != 1:
+                return False
+            if here and f.group == OR and count == 0:
+                return False
+    for ct in fm.constraints:
+        if ct.kind == REQUIRES:
+            if ct.lhs in sel and ct.rhs not in sel:
+                return False
+        else:
+            if ct.lhs in sel and ct.rhs in sel:
+                return False
+    return True
 
 
 _FEATURE_POOL = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta")

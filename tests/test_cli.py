@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import subprocess
 import sys
 
 import pytest
@@ -281,6 +282,56 @@ def test_enumerate_respects_the_size_cap(files, capsys):
 def test_enumerate_requires_a_readable_definition(files, capsys):
     rc = main(["enumerate", "--spl", str(files / "no.spl"), "--model", "R"])
     assert rc == 2
+
+
+# -- unreadable input -----------------------------------------------------------
+
+NOT_UTF8 = b"PRODUCT \xff\xfe"
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("check", "spec"), ("check", "spl"),
+    ("emit", "spec"), ("emit", "spl"),
+    ("explain", "spec"), ("explain", "spl"),
+    ("features", "spec"), ("features", "spl"),
+    ("enumerate", "spl"),
+])
+def test_non_utf8_input_is_a_one_line_usage_error(files, capsys, command, bad):
+    spec, spl = str(files / "webeiel.gis"), str(files / "gis.spl")
+    broken = files / f"broken.{bad}"
+    broken.write_bytes(NOT_UTF8)
+    if bad == "spec":
+        spec = str(broken)
+    else:
+        spl = str(broken)
+    argv = {
+        "check": ["check", spec, "--spl", spl],
+        "emit": ["emit", spec, "--spl", spl, "--out", str(files / "out.json")],
+        "explain": ["explain", spec, "data.Hotel", "--spl", spl],
+        "features": ["features", spec, "--spl", spl],
+        "enumerate": ["enumerate", "--spl", spl, "--model", "GIS_SPL"],
+    }[command]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {broken}: not UTF-8 text (byte 8: invalid start byte)\n"
+    assert not (files / "out.json").exists()
+
+
+def test_a_closed_stdout_ends_enumerate_quietly(files, package_env):
+    # GIS_SPL's listing is far larger than a pipe buffer, so the writer is
+    # still printing when the reader goes away after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localfeatures.cli", "enumerate",
+         "--spl", str(files / "gis.spl"), "--model", "GIS_SPL"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"8832\n"
+    assert err == b""
+    assert proc.returncode == 141
 
 
 # -- color ----------------------------------------------------------------------

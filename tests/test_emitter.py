@@ -1,6 +1,8 @@
 """Derivation-config emission: deterministic JSON, schema conformance."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -156,6 +158,16 @@ def test_schema_is_closed_against_mutations(golden_json, mutate):
     config = json.loads(golden_json)
     mutate(config)
     assert not verify_schema(dumps(config))
+
+
+def test_importing_the_package_does_not_import_jsonschema(package_env):
+    # only verify_schema needs it, so no other caller pays for its import
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, localfeatures; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, env=package_env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_packaged_and_repository_schemas_are_identical():

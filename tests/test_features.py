@@ -1,6 +1,7 @@
 """Feature model construction, configuration validation, enumeration, closure."""
 
 import random
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from localfeatures.errors import (
 )
 from localfeatures.features import MANDATORY, OPTIONAL, XOR
 
-from generators import random_feature_model
+from generators import brute_force_configurations, random_feature_model
 
 
 def gis_tree():
@@ -225,6 +226,61 @@ def test_enumeration_refuses_large_models():
         enumerate_configurations(wide)
     with pytest.raises(ModelTooLarge):
         enumerate_configurations(toy_model(), max_features=3)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_enumeration_matches_the_brute_force_on_random_models(seed):
+    fm = random_feature_model(random.Random(7000 + seed), max_features=12)
+    assert enumerate_configurations(fm) == brute_force_configurations(fm)
+
+
+def all_models(definition):
+    functional = definition.functional
+    return [functional.global_model, *functional.locals.values()]
+
+
+def test_enumeration_matches_the_brute_force_on_the_packaged_models(gis_definition):
+    models = all_models(gis_definition)
+    assert [m.name for m in models] == [
+        "GIS_SPL", "EntityFeature", "MapFeature", "LayerFeature"]
+    for fm in models:
+        assert enumerate_configurations(fm) == brute_force_configurations(fm), fm.name
+
+
+def test_enumeration_matches_the_brute_force_on_the_ecommerce_models(
+        ecommerce_definition):
+    for fm in all_models(ecommerce_definition):
+        assert enumerate_configurations(fm) == brute_force_configurations(fm), fm.name
+
+
+def test_enumeration_handles_a_wide_xor_group_quickly():
+    # 60 features: far beyond a 2^n subset scan, but only 59 configurations
+    leaves = [optional(f"L{i}") for i in range(59)]
+    fm = build_feature_model(mandatory("R", *leaves, group=XOR))
+    started = time.perf_counter()
+    configs = enumerate_configurations(fm, max_features=60)
+    assert time.perf_counter() - started < 1.0
+    assert configs == sorted(
+        (frozenset({"R", f"L{i}"}) for i in range(59)), key=sorted)
+
+
+def test_enumeration_counts_a_constrained_wide_model():
+    # R has a mandatory xor group G of 56 leaves and optional O1, O2:
+    # 60 features. O1 requires L0 and O2 excludes L1, so per chosen leaf:
+    # L0 allows 2 x 2 choices of O1/O2, L1 allows 1 x 1, the other 54 each
+    # 1 x 2. That is 4 + 1 + 108 = 113 configurations.
+    leaves = [optional(f"L{i}") for i in range(56)]
+    fm = build_feature_model(
+        mandatory("R", mandatory("G", *leaves, group=XOR),
+                  optional("O1"), optional("O2")),
+        (requires("O1", "L0"), excludes("O2", "L1")))
+    configs = enumerate_configurations(fm, max_features=60)
+    assert len(configs) == 113
+    assert len(set(configs)) == 113
+    assert all(validate_configuration(fm, cfg).valid for cfg in configs)
+    assert frozenset({"R", "G", "L0", "O1", "O2"}) in configs
+    assert frozenset({"R", "G", "L1", "O1"}) not in configs
+    assert frozenset({"R", "G", "L1", "O2"}) not in configs
 
 
 @pytest.mark.parametrize("seed", range(20))
