@@ -7,7 +7,7 @@ same resolved product are byte-identical. Emission refuses while any
 error-severity diagnostic is present.
 
 verify_schema() checks a JSON text against the closed derivation-config
-schema shipped with the package (and at schema/ in the repository).
+schema shipped with the package.
 """
 
 from __future__ import annotations

@@ -133,11 +133,6 @@ class FeatureModel:
                 f"model {self.name or self.root.name!r} has no feature {name!r}"
             ) from None
 
-    def subtree_names(self, name: str) -> frozenset[str]:
-        """Names of the feature and every descendant."""
-        sub = FeatureModel(self.feature(name))
-        return sub.feature_names
-
     def __contains__(self, name: object) -> bool:
         return name in self.by_name
 

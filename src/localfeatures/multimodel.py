@@ -27,10 +27,12 @@ from .errors import (
     UnknownMetaclass,
 )
 from .features import (
+    ClosureStep,
     Configuration,
     Feature,
     FeatureModel,
     close_selection,
+    close_selection_traced,
     validate_configuration,
 )
 
@@ -75,6 +77,7 @@ class LocalBinding:
     element: str
     local_model: str
     selection: Configuration
+    trace: Mapping[str, ClosureStep] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,7 @@ def _check_twin(global_model: FeatureModel, local: FeatureModel) -> None:
     copy_root = global_model.feature(local.root.name)
     _check_subtree(copy_root, local.root, local.name, is_root=True)
 
-    names = global_model.subtree_names(local.root.name)
+    names = local.feature_names  # the copy's subtree, now that the trees match
     global_cts = {(c.kind, c.lhs, c.rhs)
                   for c in global_model.constraints
                   if c.lhs in names and c.rhs in names}
@@ -164,6 +167,7 @@ class Multimodel:
                     + "; ".join(v.message for v in report.violations))
         self._applied_to: list[AppliedToDeclaration] = []
         self._bindings: dict[tuple[str, str], LocalBinding] = {}
+        self._closures: dict[tuple[str, Configuration], tuple] = {}  # -> selection, trace, report
 
     # -- structure ----------------------------------------------------------
 
@@ -225,13 +229,17 @@ class Multimodel:
         if key in self._bindings:
             raise DuplicateBinding(
                 f"element {element!r} is already bound for local model {local_model!r}")
-        selection = close_selection(local, frozenset(seeds) | {local.root.name})
-        report = validate_configuration(local, selection)
+        seeds = frozenset(seeds)
+        shared = (local_model, seeds)  # equal clauses share one closure
+        if shared not in self._closures:
+            selection, trace = close_selection_traced(local, seeds)
+            self._closures[shared] = (selection, trace, validate_configuration(local, selection))
+        selection, trace, report = self._closures[shared]
         if not report.valid:
             raise InvalidSelection(
                 f"selection for {element!r} is invalid against {local_model!r}: "
                 + "; ".join(v.message for v in report.violations))
-        self._bindings[key] = LocalBinding(element, local_model, selection)
+        self._bindings[key] = LocalBinding(element, local_model, selection, trace)
         return self
 
     def remove_binding(self, element: str, local_model: str) -> Multimodel:
@@ -256,12 +264,11 @@ class Multimodel:
 
     def global_default(self, local_model: str) -> Configuration:
         """Restriction of the global selection to the local model's global
-        copy, re-rooted onto the local model; always contains the local root."""
+        copy, whose names are the local model's; always contains the local root."""
         local = self.functional.locals.get(local_model)
         if local is None:
             raise UnknownLocalModel(f"no local feature model named {local_model!r}")
-        subtree = self.functional.global_model.subtree_names(local.root.name)
-        return (self.global_selection & subtree) | {local.root.name}
+        return (self.global_selection & local.feature_names) | {local.root.name}
 
     def effective_configuration(self, element: str, local_model: str) -> Configuration:
         """The element's binding if one exists, else the global default."""

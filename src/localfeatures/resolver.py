@@ -17,10 +17,10 @@ tree is an error, never silently promoted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Mapping
 
 from .errors import DuplicateBinding, InvalidSelection, KindMismatch, UnknownElement
-from .features import Configuration, close_selection, close_selection_traced, validate_configuration
+from .features import ClosureStep, Configuration, close_selection, validate_configuration
 from .multimodel import (
     ModelEntity,
     ModelRelationship,
@@ -43,6 +43,15 @@ ENTITY_METACLASS = "Entity"
 MAP_METACLASS = "Map"
 LAYER_METACLASS = "Layer"
 LAYER_IN_MAP_METACLASS = "LayerInMap"
+
+# explain's origin and detail for each closure rule; {} is the feature that pulled it in
+_CLOSURE_ORIGINS = {
+    "seed": ("local", None),
+    "root": ("local", "bound local root"),
+    "parent": ("closure(parent)", "parent of {}"),
+    "mandatory": ("closure(mandatory)", "mandatory child of {}"),
+    "requires": ("closure(requires)", "required by {}"),
+}
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,8 @@ class ResolvedProduct:
     included: tuple[str, ...]
     diagnostics: tuple[Diagnostic, ...]
     # carried along for explain and emission
-    spec: ProductSpec = field(repr=False, compare=False, default=None)
-    definition: SplDefinition = field(repr=False, compare=False, default=None)
+    spec: ProductSpec = field(repr=False, compare=False)
+    definition: SplDefinition = field(repr=False, compare=False)
     provenance: dict[str, dict[str, Provenance]] = field(
         repr=False, compare=False, default_factory=dict)
 
@@ -139,20 +148,25 @@ class _Resolution:
         for decl in self.definition.applied_to:
             mm.declare_applied_to(decl.local_model, decl.viewpoint, decl.metaclass)
         self.bind_all(mm)
-        self.check_defaults(mm)
 
+        defaults = {name: mm.global_default(name) for name in self.definition.functional.locals}
         effective: dict[str, Configuration] = {}
+        fallers: dict[str, list[str]] = {}
         for qname, local_model in mm.covered_elements():
-            config = mm.effective_configuration(qname, local_model)
-            if qname in effective:
-                effective[qname] = effective[qname] | config
+            bound = mm.binding(qname, local_model)
+            if bound is not None:
+                config = bound.selection
             else:
-                effective[qname] = config
-            if qname not in self.provenance:
-                self.default_provenance(qname, config)
+                config = defaults[local_model]
+                fallers.setdefault(local_model, []).append(qname)
+                if qname not in self.provenance:
+                    self.default_provenance(qname, config)
+            effective[qname] = effective[qname] | config if qname in effective else config
+        self.check_defaults(defaults, fallers)
 
         self.diagnostics.sort(key=Diagnostic.sort_key)
-        return ResolvedProduct(mm, effective, mm.included_features(),
+        return ResolvedProduct(mm, effective,
+                               tuple(sorted(global_selection.union(*effective.values()))),
                                tuple(self.diagnostics),
                                spec=self.spec, definition=self.definition,
                                provenance=self.provenance)
@@ -401,7 +415,8 @@ class _Resolution:
         except (UnknownElement, KindMismatch):
             # the element was never placed; a no-metaclass error already says why
             return
-        self.record_binding_provenance(element, local, known, clause.span)
+        self.record_binding_provenance(element, mm.binding(element, local_name).trace,
+                                       clause.span)
 
     def owning_model(self, feature: str) -> str | None:
         for name, local in self.definition.functional.locals.items():
@@ -411,26 +426,13 @@ class _Resolution:
             return "the global model"
         return None
 
-    def record_binding_provenance(self, element: str, local, seeds: list[str],
+    def record_binding_provenance(self, element: str, trace: Mapping[str, ClosureStep],
                                   span: Span) -> None:
-        _, steps = close_selection_traced(local, frozenset(seeds))
         rows: dict[str, Provenance] = {}
-        source = self.spec.source_name
-        for feature, step in steps.items():
-            if step.cause == "seed":
-                rows[feature] = Provenance(feature, "local", None, span, source)
-            elif step.cause == "root":
-                rows[feature] = Provenance(feature, "local", "bound local root",
-                                           span, source)
-            elif step.cause == "parent":
-                rows[feature] = Provenance(feature, "closure(parent)",
-                                           f"parent of {step.of}", span, source)
-            elif step.cause == "mandatory":
-                rows[feature] = Provenance(feature, "closure(mandatory)",
-                                           f"mandatory child of {step.of}", span, source)
-            else:
-                rows[feature] = Provenance(feature, "closure(requires)",
-                                           f"required by {step.of}", span, source)
+        for feature, step in trace.items():
+            origin, detail = _CLOSURE_ORIGINS[step.cause]
+            rows[feature] = Provenance(feature, origin, detail and detail.format(step.of),
+                                       span, self.spec.source_name)
         self.provenance[element] = rows
 
     def default_provenance(self, element: str, config: Configuration) -> None:
@@ -442,15 +444,10 @@ class _Resolution:
 
     # -- step 5: default sanity ---------------------------------------------------
 
-    def check_defaults(self, mm: Multimodel) -> None:
-        fallers: dict[str, list[str]] = {}
-        for qname, local_model in mm.covered_elements():
-            if mm.binding(qname, local_model) is None:
-                fallers.setdefault(local_model, []).append(qname)
-
+    def check_defaults(self, defaults: dict[str, Configuration],
+                       fallers: dict[str, list[str]]) -> None:
         for name, local in self.definition.functional.locals.items():
-            default = mm.global_default(name)
-            report = validate_configuration(local, default)
+            report = validate_configuration(local, defaults[name])
             if report.valid:
                 continue
             detail = "; ".join(v.message for v in report.violations)

@@ -20,7 +20,8 @@ The FEATUREMODEL block's name is its root feature. Children of an XOR/OR
 feature are written bare (the group makes them optional). Exactly one
 FEATUREMODEL must not appear in any LOCAL line: that one is the global model,
 and every local model's tree must be repeated under the same-named feature
-inside it. DEFAULTS seeds the product's global selection.
+inside it. DEFAULTS seeds the product's global selection. Features nest at
+most MAX_FEATURE_DEPTH levels below their FEATUREMODEL line.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .multimodel import AppliedToDeclaration, FunctionalModel
 from .syntax import Span
 
 _INDENT = "    "
+# Deep enough for any hand-written model, shallow enough that the recursive
+# parser, build_feature_model and format_spl all stay within Python's stack.
+MAX_FEATURE_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,11 @@ class _DefinitionParser:
         root = Feature(name.text, MANDATORY, group, False, tuple(children))
         trees[name.text] = (root, tuple(constraints))
 
-    def feature_node(self, kinded: bool) -> Feature:
+    def feature_node(self, kinded: bool, depth: int = 1) -> Feature:
+        if depth > MAX_FEATURE_DEPTH:
+            tok = self.ts.current
+            raise ParseError(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
+                             tok.line, tok.column)
         if kinded:
             kind = MANDATORY if self.ts.expect("MANDATORY", "OPTIONAL").kind == "MANDATORY" \
                 else OPTIONAL
@@ -191,9 +199,9 @@ class _DefinitionParser:
             gathered: list[Feature] = []
             while True:
                 if group is None and self.ts.at("MANDATORY", "OPTIONAL"):
-                    gathered.append(self.feature_node(kinded=True))
+                    gathered.append(self.feature_node(kinded=True, depth=depth + 1))
                 elif group is not None and self.ts.at(IDENT):
-                    gathered.append(self.feature_node(kinded=False))
+                    gathered.append(self.feature_node(kinded=False, depth=depth + 1))
                 else:
                     break
             if group is None:

@@ -1,11 +1,13 @@
 """Seeded random generators for property tests: feature models, product
-specification ASTs, and token-soup fuzz inputs. Everything is a pure function
+specification ASTs (with clauses drawn from a fixed pool or from a parsed
+definition), and token-soup fuzz inputs. Everything is a pure function
 of the passed random.Random, so failures replay from the seed.
 
 Also the brute-force configuration enumerator that the library's enumerator
 is checked against."""
 
 import random
+from typing import Callable
 
 from localfeatures.features import (
     EXCLUDES,
@@ -20,6 +22,7 @@ from localfeatures.features import (
     FeatureModel,
     build_feature_model,
 )
+from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
     BoundingBox,
     Cardinality,
@@ -111,6 +114,14 @@ def _satisfies(fm: FeatureModel, sel: frozenset[str]) -> bool:
     return True
 
 
+def nested_spl(depth: int) -> str:
+    """A definition with one feature model whose features nest depth levels
+    deep: F1 holds F2, which holds F3, and so on. Every feature line is
+    indented by two spaces, so feature F<i> sits at line i + 1, column 3."""
+    opened = "".join(f"  OPTIONAL F{i} {{\n" for i in range(1, depth))
+    return f"FEATUREMODEL R {{\n{opened}  OPTIONAL F{depth}\n" + "}\n" * depth
+
+
 _FEATURE_POOL = ("Alpha", "Beta", "Gamma", "Delta", "Epsilon", "Zeta")
 _DISPLAY_WORDS = ("Regional", "overview", "map", "Hotels", "North", "2024")
 _TYPES = ("Long", "Integer", "Double", "String", "Boolean", "Date",
@@ -131,9 +142,20 @@ def _display(rng: random.Random) -> str:
     return " ".join(rng.sample(_DISPLAY_WORDS, rng.randint(1, 3)))
 
 
-def random_spec(rng: random.Random) -> ProductSpec:
+# Draws the feature clause of an element at a route: "data.Entity",
+# "visualization.Map", "visualization.LayerInMap", or PRODUCT for the
+# product's own clause over the global model.
+ClauseDrawer = Callable[[random.Random, str], FeatureClause | None]
+PRODUCT = "product"
+
+
+def random_spec(rng: random.Random, clause: ClauseDrawer | None = None) -> ProductSpec:
     """A random well-formed ProductSpec AST. Only syntactic validity is
-    guaranteed; names need not resolve (round-trip tests never resolve)."""
+    guaranteed; names need not resolve. Without a clause drawer, clause
+    names come from a fixed pool that no definition uses."""
+    if clause is None:
+        def clause(rng: random.Random, route: str) -> FeatureClause | None:
+            return _clause(rng)
     entity_names = [f"Ent{i}" for i in range(rng.randint(1, 4))]
     entities = []
     for name in entity_names:
@@ -150,7 +172,7 @@ def random_spec(rng: random.Random) -> ProductSpec:
                          Cardinality(0, None))
                 rel = RelationshipSpec(cards, rng.random() < 0.5, None)
             properties.append(PropertyDecl("rel", target, (), rel))
-        entities.append(EntityDecl(name, tuple(properties), _clause(rng)))
+        entities.append(EntityDecl(name, tuple(properties), clause(rng, "data.Entity")))
 
     layer_names = [f"layer{i}" for i in range(rng.randint(1, 3))]
     layers = []
@@ -164,9 +186,9 @@ def random_spec(rng: random.Random) -> ProductSpec:
     for i in range(rng.randint(1, 3)):
         base_flags = (FLAG_IS_BASE_LAYER, FLAG_DEFAULT_BASE_LAYER) \
             if rng.random() < 0.5 else (FLAG_IS_BASE_LAYER,)
-        refs = [LayerRef("base", base_flags, _clause(rng))]
+        refs = [LayerRef("base", base_flags, clause(rng, "visualization.LayerInMap"))]
         for name in rng.sample(layer_names, rng.randint(1, len(layer_names))):
-            refs.append(LayerRef(name, (), _clause(rng)))
+            refs.append(LayerRef(name, (), clause(rng, "visualization.LayerInMap")))
         center = None
         if rng.random() < 0.6:
             def coord() -> tuple[float, float]:
@@ -174,10 +196,45 @@ def random_spec(rng: random.Random) -> ProductSpec:
                         round(rng.uniform(-180, 180), 3))
             center = BoundingBox((coord(), coord()))
         maps.append(MapDecl(f"map{i}", _display(rng), tuple(refs), center,
-                            _clause(rng)))
+                            clause(rng, "visualization.Map")))
 
-    product = ProductDecl("Prod", _clause(rng))
+    product = ProductDecl("Prod", clause(rng, PRODUCT))
     return ProductSpec(tuple(entities), tuple(layers), tuple(maps), product)
+
+
+def definition_clauses(definition: SplDefinition) -> ClauseDrawer:
+    """A clause drawer that knows the definition: names come from the local
+    model routed to the element's position (the first LOCAL line for that
+    viewpoint.metaclass, as the resolver routes) or, for the product, from
+    the global model. Now and then a clause adds a name from another model
+    or one no model has. Positions that no local model is applied to seldom
+    get a clause, so that clean products stay common."""
+    functional = definition.functional
+    pools: dict[str, list[str]] = {PRODUCT: sorted(functional.global_model.feature_names)}
+    for decl in definition.applied_to:
+        route = f"{decl.viewpoint}.{decl.metaclass}"
+        if route not in pools:
+            pools[route] = sorted(functional.locals[decl.local_model].feature_names)
+    every = sorted(set().union(*pools.values()))
+
+    def draw(rng: random.Random, route: str) -> FeatureClause | None:
+        pool = pools.get(route)
+        roll = rng.random()
+        if roll < 0.35 or (pool is None and roll < 0.95):
+            return None
+        if roll < 0.42:
+            return FeatureClause(())
+        pool = pool or every
+        names = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        roll = rng.random()
+        others = [name for name in every if name not in pool]
+        if roll < 0.08 and others:
+            names.append(rng.choice(others))
+        elif roll < 0.12:
+            names.append(f"Unknown{rng.randrange(10)}")
+        return FeatureClause(tuple(names))
+
+    return draw
 
 
 _SOUP = (

@@ -11,6 +11,9 @@ import pytest
 from localfeatures import verify_schema
 from localfeatures.cli import _color_enabled, main, print_diagnostics
 from localfeatures.resolver import Diagnostic
+from localfeatures.spldef import MAX_FEATURE_DEPTH
+
+from generators import nested_spl
 
 TOY_SPL = """\
 FEATUREMODEL R {
@@ -135,6 +138,14 @@ def test_check_reports_spl_syntax_errors(files, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "bad.spl" in err and "error[syntax]" in err
+
+
+def test_check_reports_too_deep_nesting_as_a_syntax_error(files, capsys):
+    deep = write(files, "deep.spl", nested_spl(5000))
+    rc = main(["check", str(files / "webeiel.gis"), "--spl", deep])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"deep.spl:{MAX_FEATURE_DEPTH + 2}:3: error[syntax]" in err
 
 
 def test_check_reports_definition_errors(files, capsys):

@@ -3,8 +3,6 @@
 import json
 import subprocess
 import sys
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
@@ -168,14 +166,6 @@ def test_importing_the_package_does_not_import_jsonschema(package_env):
         capture_output=True, text=True, env=package_env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
-
-
-def test_packaged_and_repository_schemas_are_identical():
-    packaged = (resources.files("localfeatures") / "schema"
-                / "derivation-config.schema.json").read_text(encoding="utf-8")
-    repo = Path(__file__).resolve().parents[1] / "schema"
-    committed = (repo / "derivation-config.schema.json").read_text(encoding="utf-8")
-    assert packaged == committed
 
 
 def test_derivation_config_is_plain_data(webeiel_resolved):

@@ -122,8 +122,6 @@ def test_model_lookup_helpers():
     assert fm.feature("Menu").group == XOR
     assert fm.parent_name["FormAccess"] == "List"
     assert fm.parent_name["GIS_SPL"] is None
-    assert fm.subtree_names("Entity") == {
-        "Entity", "Form", "Creatable", "Editable", "List", "FormAccess", "Filterable"}
     with pytest.raises(UnknownFeature):
         fm.feature("Nope")
 

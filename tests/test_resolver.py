@@ -1,11 +1,24 @@
 """Resolution: diagnostics instead of exceptions, bindings, defaults, explain."""
 
+import random
+
 import pytest
 
-from localfeatures import explain, parse, resolve
+from localfeatures import (
+    close_selection_traced,
+    emit,
+    explain,
+    format_spec,
+    parse,
+    resolve,
+    validate_configuration,
+    verify_schema,
+)
 from localfeatures.errors import UnknownElement
-from localfeatures.resolver import Diagnostic
+from localfeatures.resolver import Diagnostic, Provenance
 from localfeatures.spldef import parse_spl_definition
+
+from generators import definition_clauses, random_spec
 
 XOR_LOCAL_DEFINITION = """\
 VIEWPOINT data (Entity);
@@ -311,6 +324,19 @@ def test_invalid_closed_clause_selection_is_reported():
     assert "invalid against 'W'" in resolved.errors[0].message
 
 
+def test_each_element_with_the_same_invalid_clause_is_reported():
+    definition = parse_spl_definition(XOR_LOCAL_DEFINITION, filename="xor.spl")
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (A, B);\n"
+              "CREATE ENTITY Town (id Long IDENTIFIER) WITH FEATURES (B, A);\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, definition)
+    invalid = [d for d in resolved.errors if d.code == "invalid-selection"]
+    assert [d.span.line for d in invalid] == [1, 2]
+    assert "'data.City'" in invalid[0].message
+    assert "'data.Town'" in invalid[1].message
+    assert resolved.multimodel.bindings == ()
+
+
 def test_invalid_default_is_an_error_when_elements_fall_back_to_it():
     definition = parse_spl_definition(XOR_LOCAL_DEFINITION, filename="xor.spl")
     source = "CREATE ENTITY City (id Long IDENTIFIER);\nCREATE GIS X;"
@@ -421,6 +447,21 @@ def test_explain_reports_closure_steps(gis_definition):
     assert rows["EntityFeature"].detail == "bound local root"
 
 
+def test_elements_with_the_same_clause_each_cite_their_own_line(gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (FormAccess);\n"
+              "CREATE ENTITY Town (id Long IDENTIFIER)\n"
+              "    WITH FEATURES (FormAccess);\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert resolved.diagnostics == ()
+    city = explain(resolved, "data.City")
+    town = explain(resolved, "data.Town")
+    assert [r.feature for r in city] == [r.feature for r in town]
+    assert [(r.origin, r.detail) for r in city] == [(r.origin, r.detail) for r in town]
+    assert {(r.span.line, r.span.column) for r in city} == {(1, 41)}
+    assert {(r.span.line, r.span.column) for r in town} == {(3, 5)}
+
+
 def test_explain_reports_mandatory_closure_steps():
     definition = parse_spl_definition(
         MANDATORY_LOCAL_DEFINITION, filename="mand.spl")
@@ -445,3 +486,101 @@ def test_explain_rejects_uncovered_elements(webeiel_resolved):
 def test_diagnostic_sort_key_tolerates_missing_spans():
     bare = Diagnostic("error", "x", "message")
     assert bare.sort_key() == ("<spec>", 0, 0, "x")
+
+
+# -- definition-aware fuzz ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ecommerce_on_entities(ecommerce_source):
+    """ecommerce.spl with its local model applied to data.Entity. As shipped
+    it applies to catalog.Category, which no specification construct places,
+    so nothing can bind it; and gis.spl's local models have no group or
+    excludes that a closed clause can break. This variant is what reaches
+    invalid-selection."""
+    source = ecommerce_source.replace(
+        "VIEWPOINT catalog (Category, CategoryComposite);",
+        "VIEWPOINT data (Entity);\nVIEWPOINT visualization (Map, Layer, LayerInMap);",
+    ).replace("APPLIED TO catalog.Category", "APPLIED TO data.Entity")
+    return parse_spl_definition(source, filename="ecommerce-entities.spl")
+
+
+# What 300 seeds must reach per definition: diagnostic codes, explain origins,
+# "bound" when some element got a binding and "clean" for a product without
+# errors.
+FUZZ_REACHES = {
+    "gis_definition": {"clean", "bound", "global-default", "closure(parent)",
+                       "closure(requires)", "unknown-feature",
+                       "invalid-global-selection"},
+    "ecommerce_definition": {"no-metaclass", "no-local-model"},
+    "ecommerce_on_entities": {"clean", "bound", "global-default", "closure(parent)",
+                              "invalid-selection", "no-local-model"},
+}
+
+
+def clauses_by_element(spec):
+    clauses = {}
+    for decl in spec.entities:
+        clauses[f"data.{decl.name}"] = decl.features
+    for map_decl in spec.maps:
+        clauses[f"visualization.{map_decl.name}"] = map_decl.features
+        for ref in map_decl.layers:
+            clauses.setdefault(f"visualization.{map_decl.name}.{ref.name}", ref.features)
+    return clauses
+
+
+def expected_row(feature, step, span, source):
+    """The explain row for one closure step, spelled out independently of
+    the resolver."""
+    if step.cause == "seed":
+        return Provenance(feature, "local", None, span, source)
+    if step.cause == "root":
+        return Provenance(feature, "local", "bound local root", span, source)
+    detail = {"parent": f"parent of {step.of}",
+              "mandatory": f"mandatory child of {step.of}",
+              "requires": f"required by {step.of}"}[step.cause]
+    return Provenance(feature, f"closure({step.cause})", detail, span, source)
+
+
+@pytest.mark.parametrize("fixture", sorted(FUZZ_REACHES))
+def test_definition_aware_specs_resolve_consistently(fixture, request):
+    definition = request.getfixturevalue(fixture)
+    local_models = definition.functional.locals
+    draw = definition_clauses(definition)
+    reached = set()
+    for seed in range(300):
+        ast = random_spec(random.Random(seed), draw)
+        text = format_spec(ast)
+        spec = parse(text, filename="fuzz.gis")
+        assert spec == ast, seed
+        resolved = resolve(spec, definition)  # must never raise
+        mm = resolved.multimodel
+        clean = not resolved.errors
+
+        assert resolved.included == mm.included_features(), seed
+        covered = {}
+        for element, local_model in mm.covered_elements():
+            covered.setdefault(element, []).append(local_model)
+        assert resolved.effective.keys() == covered.keys(), seed
+        for element, models in covered.items():
+            configs = [mm.effective_configuration(element, m) for m in models]
+            assert resolved.effective[element] == frozenset().union(*configs), seed
+            if clean:
+                for m, config in zip(models, configs):
+                    assert validate_configuration(local_models[m], config).valid, seed
+            reached.update(row.origin for row in explain(resolved, element))
+        if clean:
+            assert verify_schema(emit(resolved)), seed
+            reached.add("clean")
+
+        clauses = clauses_by_element(spec)
+        for binding in mm.bindings:
+            clause = clauses[binding.element]
+            _, trace = close_selection_traced(local_models[binding.local_model],
+                                              clause.names)
+            expected = tuple(expected_row(f, trace[f], clause.span, "fuzz.gis")
+                             for f in sorted(trace))
+            assert explain(resolved, binding.element) == expected, seed
+        reached.update(d.code for d in resolved.diagnostics)
+        if mm.bindings:
+            reached.add("bound")
+    assert FUZZ_REACHES[fixture] <= reached, FUZZ_REACHES[fixture] - reached

@@ -12,7 +12,9 @@ from localfeatures.errors import (
 )
 from localfeatures.features import GLOBAL, LOCAL, OR, XOR
 from localfeatures.multimodel import AppliedToDeclaration
-from localfeatures.spldef import format_spl, parse_spl_definition
+from localfeatures.spldef import MAX_FEATURE_DEPTH, format_spl, parse_spl_definition
+
+from generators import nested_spl
 
 MINIMAL = """\
 VIEWPOINT data (Entity);
@@ -226,3 +228,33 @@ def test_constraints_are_only_accepted_at_model_level():
     with pytest.raises(ParseError) as exc:
         parse_spl_definition(source)
     assert exc.value.line == 4
+
+
+# -- nesting depth -------------------------------------------------------------------
+
+def test_features_nest_up_to_the_depth_limit_and_round_trip():
+    definition = parse_spl_definition(nested_spl(MAX_FEATURE_DEPTH))
+    model = definition.functional.global_model
+    assert len(model.feature_names) == MAX_FEATURE_DEPTH + 1
+    assert model.parent_name[f"F{MAX_FEATURE_DEPTH}"] == f"F{MAX_FEATURE_DEPTH - 1}"
+    text = format_spl(definition)
+    assert parse_spl_definition(text) == definition
+    assert format_spl(parse_spl_definition(text)) == text
+
+
+@pytest.mark.parametrize("depth", [MAX_FEATURE_DEPTH + 1, 5000])
+def test_nesting_past_the_limit_is_a_positioned_parse_error(depth):
+    with pytest.raises(ParseError) as exc:
+        parse_spl_definition(nested_spl(depth))
+    # the first feature too deep is F<limit + 1>, on its own line at column 3
+    assert (exc.value.line, exc.value.column) == (MAX_FEATURE_DEPTH + 2, 3)
+    assert "deeper than 200" in exc.value.message
+
+
+def test_group_children_count_towards_the_depth_limit():
+    source = nested_spl(MAX_FEATURE_DEPTH).replace(
+        f"  OPTIONAL F{MAX_FEATURE_DEPTH}\n",
+        f"  OPTIONAL F{MAX_FEATURE_DEPTH} XOR {{\n  X\n  Y\n}}\n")
+    with pytest.raises(ParseError) as exc:
+        parse_spl_definition(source)
+    assert (exc.value.line, exc.value.column) == (MAX_FEATURE_DEPTH + 2, 3)
