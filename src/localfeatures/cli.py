@@ -94,11 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
                         help="product line definition file")
     p_enum.add_argument("--model", required=True,
                         help="feature model name (the global model or a local one)")
-    p_enum.add_argument("--max", type=int, default=20, metavar="N",
+    p_enum.add_argument("--max", type=_positive_int, default=20, metavar="N",
                         help="refuse models with more than N features (default: 20)")
     p_enum.set_defaults(handler=cmd_enumerate)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

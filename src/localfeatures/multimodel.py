@@ -165,7 +165,8 @@ class Multimodel:
                 raise InvalidSelection(
                     "global selection is invalid: "
                     + "; ".join(v.message for v in report.violations))
-        self._applied_to: list[AppliedToDeclaration] = []
+        # (local model, viewpoint, metaclass) -> declaration, in declaration order
+        self._applied_to: dict[tuple[str, str, str], AppliedToDeclaration] = {}
         self._bindings: dict[tuple[str, str], LocalBinding] = {}
         self._closures: dict[tuple[str, Configuration], tuple] = {}  # -> selection, trace, report
 
@@ -173,7 +174,7 @@ class Multimodel:
 
     @property
     def applied_to(self) -> tuple[AppliedToDeclaration, ...]:
-        return tuple(self._applied_to)
+        return tuple(self._applied_to.values())
 
     @property
     def bindings(self) -> tuple[LocalBinding, ...]:
@@ -204,9 +205,9 @@ class Multimodel:
         if metaclass not in vp.metaclasses:
             raise UnknownMetaclass(
                 f"viewpoint {viewpoint!r} declares no metaclass {metaclass!r}")
-        decl = AppliedToDeclaration(local_model, viewpoint, metaclass)
-        if decl not in self._applied_to:
-            self._applied_to.append(decl)
+        key = (local_model, viewpoint, metaclass)
+        if key not in self._applied_to:
+            self._applied_to[key] = AppliedToDeclaration(*key)
         return self
 
     def bind_local(self, element: str, local_model: str,
@@ -252,10 +253,7 @@ class Multimodel:
 
     def _covers(self, qualified_name: str, entity: ModelEntity, local_model: str) -> bool:
         viewpoint, _, _ = qualified_name.partition(".")
-        return any(d.local_model == local_model
-                   and d.viewpoint == viewpoint
-                   and d.metaclass == entity.kind
-                   for d in self._applied_to)
+        return (local_model, viewpoint, entity.kind) in self._applied_to
 
     # -- queries ------------------------------------------------------------
 
@@ -285,7 +283,7 @@ class Multimodel:
     def covered_elements(self) -> Iterator[tuple[str, str]]:
         """Yield (qualified element name, local model) for every element
         matched by some applied-to declaration, in declaration order."""
-        for decl in self._applied_to:
+        for decl in self._applied_to.values():
             vp = self.viewpoints.get(decl.viewpoint)
             if vp is None:
                 continue

@@ -9,7 +9,7 @@ property types are parsed as relationship targets and judged by the resolver.
 from __future__ import annotations
 
 from .errors import DuplicateFlag, MissingProduct, MultipleProducts, ParseError
-from .lexer import EOF, IDENT, NUMBER, SPEC_KEYWORDS, Token, TokenStream, tokenize
+from .lexer import EOF, IDENT, NUMBER, SPEC_KEYWORDS, Token, TokenStream
 from .syntax import (
     BUILTIN_TYPES,
     BoundingBox,
@@ -79,7 +79,7 @@ class _Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.ts = TokenStream(tokenize(source, SPEC_KEYWORDS))
+        self.ts = TokenStream(source, SPEC_KEYWORDS)
 
     # -- statements ---------------------------------------------------------
 

@@ -43,7 +43,7 @@ from .features import (
     FeatureModel,
     build_feature_model,
 )
-from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream, tokenize
+from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream
 from .multimodel import AppliedToDeclaration, FunctionalModel
 from .syntax import Span
 
@@ -74,7 +74,7 @@ def parse_spl_definition(source: str, filename: str = "<definition>") -> SplDefi
 class _DefinitionParser:
 
     def __init__(self, source: str):
-        self.ts = TokenStream(tokenize(source, DEFINITION_KEYWORDS))
+        self.ts = TokenStream(source, DEFINITION_KEYWORDS)
 
     def parse(self, filename: str) -> SplDefinition:
         viewpoints: dict[str, tuple[str, ...]] = {}

@@ -3,12 +3,13 @@ specification ASTs (with clauses drawn from a fixed pool or from a parsed
 definition), and token-soup fuzz inputs. Everything is a pure function
 of the passed random.Random, so failures replay from the seed.
 
-Also the brute-force configuration enumerator that the library's enumerator
-is checked against."""
+Also the slow oracles the library's fast paths are checked against: the
+brute-force configuration enumerator and the character-at-a-time tokenizer."""
 
 import random
 from typing import Callable
 
+from localfeatures.errors import ParseError
 from localfeatures.features import (
     EXCLUDES,
     MANDATORY,
@@ -22,6 +23,7 @@ from localfeatures.features import (
     FeatureModel,
     build_feature_model,
 )
+from localfeatures.lexer import EOF, IDENT, NUMBER
 from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
     BoundingBox,
@@ -112,6 +114,73 @@ def _satisfies(fm: FeatureModel, sel: frozenset[str]) -> bool:
             if ct.lhs in sel and ct.rhs in sel:
                 return False
     return True
+
+
+_PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")
+_WORD_START = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_WORD_CHARS = _WORD_START | frozenset("0123456789_")
+_DIGITS = frozenset("0123456789")
+
+
+def reference_tokenize(source: str, keywords: frozenset[str]) -> list[tuple]:
+    """The tokens of source as (kind, text, line, column, offset, end)
+    tuples, found by stepping through it one character at a time; raises
+    the same ParseError as lexer.tokenize at the first bad character. The
+    slow oracle for the regex lexer."""
+    tokens: list[tuple] = []
+    pos = 0
+    line = 1
+    line_start = 0
+    n = len(source)
+
+    while pos < n:
+        ch = source[pos]
+        if ch == "\n":
+            line += 1
+            pos += 1
+            line_start = pos
+            continue
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if source.startswith("//", pos):
+            nl = source.find("\n", pos)
+            pos = n if nl < 0 else nl
+            continue
+
+        col = pos - line_start + 1
+        if ch in _WORD_START:
+            end = pos + 1
+            while end < n and source[end] in _WORD_CHARS:
+                end += 1
+            text = source[pos:end]
+            kind = text if text in keywords else IDENT
+            tokens.append((kind, text, line, col, pos, end))
+            pos = end
+            continue
+        if ch in _DIGITS or (ch == "-" and pos + 1 < n and source[pos + 1] in _DIGITS):
+            end = pos + 1
+            while end < n and source[end] in _DIGITS:
+                end += 1
+            # a fraction needs a digit after the dot; "1..2" is 1 .. 2
+            if end + 1 < n and source[end] == "." and source[end + 1] in _DIGITS:
+                end += 2
+                while end < n and source[end] in _DIGITS:
+                    end += 1
+            tokens.append((NUMBER, source[pos:end], line, col, pos, end))
+            pos = end
+            continue
+        for punct in _PUNCT:
+            if source.startswith(punct, pos):
+                tokens.append((punct, punct, line, col, pos, pos + len(punct)))
+                pos += len(punct)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+
+    tokens.append((EOF, "", line, n - line_start + 1, n, n))
+    return tokens
 
 
 def nested_spl(depth: int) -> str:

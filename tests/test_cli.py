@@ -290,6 +290,26 @@ def test_enumerate_respects_the_size_cap(files, capsys):
     assert "enumeration capped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_enumerate_rejects_a_non_positive_cap(files, capsys, cap):
+    toy = write(files, "toy.spl", TOY_SPL)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--spl", toy, "--model", "R", "--max", cap])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("usage: lfc enumerate")
+    assert f"argument --max: must be a positive integer, not {int(cap)}" in err
+
+
+def test_enumerate_rejects_a_non_integer_cap(files, capsys):
+    toy = write(files, "toy.spl", TOY_SPL)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--spl", toy, "--model", "R", "--max", "many"])
+    assert exc.value.code == 2
+    assert "argument --max: invalid int value: 'many'" in capsys.readouterr().err
+
+
 def test_enumerate_requires_a_readable_definition(files, capsys):
     rc = main(["enumerate", "--spl", str(files / "no.spl"), "--model", "R"])
     assert rc == 2

@@ -1,0 +1,144 @@
+"""The regex lexer against the character-at-a-time reference tokenizer, and
+the error precedence both parsers keep although they lex lazily."""
+
+import random
+
+import pytest
+
+from localfeatures import parse, parse_spl_definition
+from localfeatures.errors import ParseError
+from localfeatures.lexer import (
+    DEFINITION_KEYWORDS,
+    EOF,
+    SPEC_KEYWORDS,
+    TokenStream,
+    tokenize,
+)
+
+from conftest import FIXTURES, packaged
+from generators import random_token_soup, reference_tokenize
+from test_acceptance import scale_spec_text
+
+KEYWORD_SETS = pytest.mark.parametrize(
+    "keywords", [SPEC_KEYWORDS, DEFINITION_KEYWORDS], ids=["spec", "definition"])
+
+EDGE_CASES = ["", "// x", "1..2 -3.5 1.x -", "x-1", "--1", "_y"]
+ALPHABET = 'aZ_09 \t\r\n-./*()[]{},;"é\x0b'
+# Without the characters that can make the lexer fail, so that about half the
+# random sources lex cleanly and are compared token by token.
+TAME = ALPHABET.translate({ord(c): None for c in '"é\x0b/_-'})
+
+
+def outcome(lex, source, keywords):
+    """Every token as a plain 6-tuple, or the ParseError's fields."""
+    try:
+        return [tuple(tok) for tok in lex(source, keywords)]
+    except ParseError as exc:
+        return exc.message, exc.line, exc.column, exc.expected
+
+
+def streamed(source, keywords):
+    """The tokens a TokenStream hands out, up to and including EOF."""
+    ts = TokenStream(source, keywords)
+    tokens = [ts.current]
+    while tokens[-1].kind != EOF:
+        ts.advance()
+        tokens.append(ts.current)
+    return tokens
+
+
+def random_sources(seed, count):
+    rng = random.Random(seed)
+    sources = []
+    for _ in range(count):
+        alphabet = rng.choice((ALPHABET, TAME))
+        sources.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40))))
+    return sources
+
+
+def raised(call, source):
+    with pytest.raises(ParseError) as exc:
+        call(source)
+    return exc.value.message, exc.value.line, exc.value.column, exc.value.expected
+
+
+@KEYWORD_SETS
+@pytest.mark.parametrize("source", [
+    packaged("gis.spl"),
+    packaged("webeiel.gis"),
+    (FIXTURES / "ecommerce.spl").read_text(),
+    scale_spec_text(),
+    *EDGE_CASES,
+], ids=["gis.spl", "webeiel.gis", "ecommerce.spl", "scale", *map(repr, EDGE_CASES)])
+def test_tokens_match_the_reference(source, keywords):
+    expected = outcome(reference_tokenize, source, keywords)
+    assert outcome(tokenize, source, keywords) == expected
+    assert outcome(streamed, source, keywords) == expected
+
+
+@KEYWORD_SETS
+def test_random_strings_lex_as_the_reference_does(keywords):
+    sources = random_sources(4, 3000)
+    failing = sum(isinstance(outcome(reference_tokenize, s, keywords), tuple)
+                  for s in sources)
+    assert 1000 < failing < 2000
+    for source in sources:
+        expected = outcome(reference_tokenize, source, keywords)
+        assert outcome(tokenize, source, keywords) == expected, repr(source)
+        assert outcome(streamed, source, keywords) == expected, repr(source)
+
+
+def test_edge_case_tokens():
+    assert [(t.kind, t.text) for t in tokenize("1..2 -3.5 1.x x-1", SPEC_KEYWORDS)] == [
+        ("NUMBER", "1"), ("..", ".."), ("NUMBER", "2"), ("NUMBER", "-3.5"),
+        ("NUMBER", "1"), (".", "."), ("IDENT", "x"), ("IDENT", "x"),
+        ("NUMBER", "-1"), (EOF, "")]
+    assert tokenize("// x", SPEC_KEYWORDS) == [(EOF, "", 1, 5, 4, 4)]
+    assert outcome(tokenize, "--1", SPEC_KEYWORDS) == ("unexpected character '-'", 1, 1, ())
+
+
+# -- error precedence -----------------------------------------------------------
+
+def test_a_bad_character_beats_an_earlier_syntax_error():
+    with pytest.raises(ParseError) as exc:
+        parse('CREATE FOO;\n"')
+    assert str(exc.value) == "2:1: unexpected character '\"'"
+    with pytest.raises(ParseError) as exc:
+        parse("CREATE GIS x;\n_y")
+    assert str(exc.value) == "2:1: unexpected character '_'"
+    with pytest.raises(ParseError) as exc:
+        parse_spl_definition("FEATUREMODEL { }\n// fine\n  @")
+    assert str(exc.value) == "3:3: unexpected character '@'"
+
+
+@pytest.mark.parametrize("name, call, keywords", [
+    ("webeiel.gis", parse, SPEC_KEYWORDS),
+    ("gis.spl", parse_spl_definition, DEFINITION_KEYWORDS),
+], ids=["webeiel.gis", "gis.spl"])
+def test_mutated_sources_report_the_lexer_error_first(name, call, keywords):
+    """Whenever the reference tokenizer rejects a mutated source, the parser
+    raises exactly that error, wherever the first syntax error would be."""
+    original = packaged(name)
+    rng = random.Random(name)
+    lexer_errors = 0
+    for _ in range(4000):
+        source = original
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(source) + 1)
+            cut = rng.choice((0, 0, 1))
+            source = source[:pos] + rng.choice(ALPHABET + "@#_") + source[pos + cut:]
+        expected = outcome(reference_tokenize, source, keywords)
+        if isinstance(expected, tuple):
+            lexer_errors += 1
+            assert raised(call, source) == expected, repr(source)
+    assert lexer_errors > 1000
+
+
+def test_definition_parser_survives_token_soups():
+    rng = random.Random(82)
+    for _ in range(3000):
+        soup = random_token_soup(rng)
+        with pytest.raises(ParseError) as err:
+            parse_spl_definition(soup)
+        assert err.value.line >= 1
+        assert err.value.column >= 1

@@ -149,10 +149,11 @@ def test_default_selection_is_the_closure_of_nothing(gis_definition):
         gis_definition.functional.global_model, frozenset())
 
 
-def test_declare_applied_to_is_idempotent(gis_multimodel):
+def test_declare_applied_to_is_idempotent(gis_multimodel, gis_definition):
     before = list(gis_multimodel.covered_elements())
     gis_multimodel.declare_applied_to("EntityFeature", "data", "Entity")
     assert list(gis_multimodel.covered_elements()) == before
+    assert gis_multimodel.applied_to == gis_definition.applied_to
 
 
 def test_declare_applied_to_checks_endpoints(gis_multimodel):
@@ -211,6 +212,18 @@ def test_binding_rejects_elements_of_the_wrong_metaclass(gis_definition):
     mm.declare_applied_to("EntityFeature", "visualization", "Map")
     with pytest.raises(KindMismatch):
         mm.bind_local("data.Hotel", "EntityFeature", {"Form"})
+
+
+def test_a_declaration_covers_its_own_viewpoint_only(gis_definition):
+    archive = ViewpointModel("archive", frozenset({"Entity"}), {
+        "OldHotel": ModelEntity("OldHotel", "Entity")})
+    mm = Multimodel(gis_definition.functional, {**viewpoints(), "archive": archive})
+    mm.declare_applied_to("EntityFeature", "data", "Entity")
+    with pytest.raises(KindMismatch):
+        mm.bind_local("archive.OldHotel", "EntityFeature", {"Form"})
+    with pytest.raises(NotApplicable):
+        mm.effective_configuration("archive.OldHotel", "EntityFeature")
+    mm.bind_local("data.Hotel", "EntityFeature", {"Form"})
 
 
 def test_binding_without_a_covering_declaration_is_a_kind_mismatch(gis_multimodel):
