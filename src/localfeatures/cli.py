@@ -27,7 +27,8 @@ from .errors import (
 from .features import enumerate_configurations
 from .parser import parse
 from .resolver import Diagnostic, ResolvedProduct, explain, resolve
-from .spldef import parse_spl_definition
+from .spldef import SplDefinition, parse_spl_definition
+from .syntax import Span
 
 USAGE_ERROR = 2
 CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
@@ -149,14 +150,9 @@ def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
     message = exc.message
     if exc.expected:
         message += f" (expected {', '.join(exc.expected)})"
-    diag = Diagnostic("error", "syntax", message, None, path)
-    if fmt == "json":
-        print_diagnostics((diag,), fmt)
-    else:
-        color = _color_enabled()
-        severity = f"{_SEVERITY_COLOR['error']}error\x1b[0m" if color else "error"
-        print(f"{path}:{exc.line}:{exc.column}: {severity}[syntax]: {message}",
-              file=sys.stderr)
+    # a ParseError knows its position but not its character offsets
+    span = Span(0, 0, exc.line, exc.column)
+    print_diagnostics((Diagnostic("error", "syntax", message, span, path),), fmt)
     return 1
 
 
@@ -171,14 +167,21 @@ def _load(args) -> ResolvedProduct | int:
         spec = parse(spec_text, filename=args.spec)
     except ParseError as exc:
         return _parse_failure(exc, args.spec, fmt)
-    try:
-        definition = parse_spl_definition(spl_text, filename=args.spl)
-    except ParseError as exc:
-        return _parse_failure(exc, args.spl, fmt)
-    except LocalFeaturesError as exc:
-        print_diagnostics((Diagnostic("error", "definition", str(exc), None, args.spl),), fmt)
-        return 1
+    definition = _load_definition(spl_text, args.spl, fmt)
+    if isinstance(definition, int):
+        return definition
     return resolve(spec, definition)
+
+
+def _load_definition(text: str, path: str, fmt: str) -> SplDefinition | int:
+    """Parse a definition; an int is an exit code to return."""
+    try:
+        return parse_spl_definition(text, filename=path)
+    except ParseError as exc:
+        return _parse_failure(exc, path, fmt)
+    except LocalFeaturesError as exc:
+        print_diagnostics((Diagnostic("error", "definition", str(exc), None, path),), fmt)
+        return 1
 
 
 def _read_inputs(*paths: str) -> list[str] | None:
@@ -288,15 +291,9 @@ def cmd_enumerate(args) -> int:
     texts = _read_inputs(args.spl)
     if texts is None:
         return USAGE_ERROR
-    text, = texts
-    try:
-        definition = parse_spl_definition(text, filename=args.spl)
-    except ParseError as exc:
-        return _parse_failure(exc, args.spl, "text")
-    except LocalFeaturesError as exc:
-        print_diagnostics((Diagnostic("error", "definition", str(exc), None, args.spl),),
-                          "text")
-        return 1
+    definition = _load_definition(texts[0], args.spl, "text")
+    if isinstance(definition, int):
+        return definition
 
     functional = definition.functional
     if args.model == functional.global_model.name:

@@ -17,10 +17,10 @@ tree is an error, never silently promoted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal
 
 from .errors import DuplicateBinding, InvalidSelection, KindMismatch, UnknownElement
-from .features import ClosureStep, Configuration, close_selection, validate_configuration
+from .features import Configuration, close_selection, validate_configuration
 from .multimodel import (
     ModelEntity,
     ModelRelationship,
@@ -88,7 +88,7 @@ class ResolvedProduct:
     # carried along for explain and emission
     spec: ProductSpec = field(repr=False, compare=False)
     definition: SplDefinition = field(repr=False, compare=False)
-    provenance: dict[str, dict[str, Provenance]] = field(
+    clause_spans: dict[str, Span] = field(  # bound element -> its feature clause
         repr=False, compare=False, default_factory=dict)
 
     @property
@@ -106,10 +106,28 @@ def resolve(spec: ProductSpec, definition: SplDefinition) -> ResolvedProduct:
 
 def explain(resolved: ResolvedProduct, element: str) -> tuple[Provenance, ...]:
     """Per-feature origin of an element's effective configuration, sorted by
-    feature name. The element must be covered by some applied-to declaration."""
+    feature name. The element must be covered by some applied-to declaration.
+    Each covering local model gives its binding's closure trace, cited at the
+    clause, or else its global default, cited at the product. For a feature
+    two models share, the first declaration's row wins; a clause binds through
+    the first model applied to its metaclass, so a bound row beats a default."""
     if element not in resolved.effective:
         raise UnknownElement(f"no covered element {element!r} in the resolved product")
-    rows = resolved.provenance.get(element, {})
+    mm, source = resolved.multimodel, resolved.spec.source_name
+    place = (element.partition(".")[0], mm.element(element).kind)
+    covering = [d.local_model for d in mm.applied_to if (d.viewpoint, d.metaclass) == place]
+    rows: dict[str, Provenance] = {}
+    for local_model in covering:
+        binding = mm.binding(element, local_model)
+        if binding is None:
+            for feature in mm.global_default(local_model):
+                rows.setdefault(feature, Provenance(feature, "global-default", "no binding exists",
+                                                    resolved.spec.product.span, source))
+            continue
+        for feature, step in binding.trace.items():
+            origin, detail = _CLOSURE_ORIGINS[step.cause]
+            rows.setdefault(feature, Provenance(feature, origin, detail and detail.format(step.of),
+                                                resolved.clause_spans[element], source))
     return tuple(rows[name] for name in sorted(rows))
 
 
@@ -119,7 +137,7 @@ class _Resolution:
         self.spec = spec
         self.definition = definition
         self.diagnostics: list[Diagnostic] = []
-        self.provenance: dict[str, dict[str, Provenance]] = {}
+        self.clause_spans: dict[str, Span] = {}
         self.route: dict[str, str] = {}  # viewpoint.metaclass -> local model
         for decl in definition.applied_to:
             self.route.setdefault(f"{decl.viewpoint}.{decl.metaclass}", decl.local_model)
@@ -159,8 +177,6 @@ class _Resolution:
             else:
                 config = defaults[local_model]
                 fallers.setdefault(local_model, []).append(qname)
-                if qname not in self.provenance:
-                    self.default_provenance(qname, config)
             effective[qname] = effective[qname] | config if qname in effective else config
         self.check_defaults(defaults, fallers)
 
@@ -169,7 +185,7 @@ class _Resolution:
                                tuple(sorted(global_selection.union(*effective.values()))),
                                tuple(self.diagnostics),
                                spec=self.spec, definition=self.definition,
-                               provenance=self.provenance)
+                               clause_spans=self.clause_spans)
 
     # -- step 1: name resolution ----------------------------------------------
 
@@ -415,8 +431,7 @@ class _Resolution:
         except (UnknownElement, KindMismatch):
             # the element was never placed; a no-metaclass error already says why
             return
-        self.record_binding_provenance(element, mm.binding(element, local_name).trace,
-                                       clause.span)
+        self.clause_spans[element] = clause.span
 
     def owning_model(self, feature: str) -> str | None:
         for name, local in self.definition.functional.locals.items():
@@ -425,22 +440,6 @@ class _Resolution:
         if feature in self.definition.functional.global_model:
             return "the global model"
         return None
-
-    def record_binding_provenance(self, element: str, trace: Mapping[str, ClosureStep],
-                                  span: Span) -> None:
-        rows: dict[str, Provenance] = {}
-        for feature, step in trace.items():
-            origin, detail = _CLOSURE_ORIGINS[step.cause]
-            rows[feature] = Provenance(feature, origin, detail and detail.format(step.of),
-                                       span, self.spec.source_name)
-        self.provenance[element] = rows
-
-    def default_provenance(self, element: str, config: Configuration) -> None:
-        span = self.spec.product.span
-        self.provenance[element] = {
-            feature: Provenance(feature, "global-default", "no binding exists",
-                                span, self.spec.source_name)
-            for feature in config}
 
     # -- step 5: default sanity ---------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError, UnknownFeature, UnknownLocalModel, UnknownMetaclass
+from .errors import ParseError
 from .features import (
     EXCLUDES,
     GLOBAL,
@@ -43,7 +43,7 @@ from .features import (
     FeatureModel,
     build_feature_model,
 )
-from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream
+from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, Token, TokenStream
 from .multimodel import AppliedToDeclaration, FunctionalModel
 from .syntax import Span
 
@@ -79,7 +79,7 @@ class _DefinitionParser:
     def parse(self, filename: str) -> SplDefinition:
         viewpoints: dict[str, tuple[str, ...]] = {}
         trees: dict[str, tuple[Feature, tuple[CrossTreeConstraint, ...]]] = {}
-        applied: list[AppliedToDeclaration] = []
+        local_lines: list[tuple[Token, Token, Token]] = []
         defaults: tuple[str, ...] | None = None
         defaults_span: Span | None = None
 
@@ -89,7 +89,7 @@ class _DefinitionParser:
             elif self.ts.at("FEATUREMODEL"):
                 self.model_block(trees)
             elif self.ts.at("LOCAL"):
-                applied.append(self.local_decl())
+                local_lines.append(self.local_decl())
             elif self.ts.at("DEFAULTS"):
                 if defaults is not None:
                     tok = self.ts.current
@@ -99,16 +99,21 @@ class _DefinitionParser:
             else:
                 self.ts.fail("VIEWPOINT", "FEATUREMODEL", "LOCAL", "DEFAULTS")
 
+        applied: list[AppliedToDeclaration] = []
+        for root, viewpoint, metaclass in local_lines:
+            if root.text not in trees:
+                raise ParseError(f"LOCAL references undeclared feature model {root.text!r}",
+                                 root.line, root.column)
+            if viewpoint.text not in viewpoints:
+                raise ParseError(f"no viewpoint named {viewpoint.text!r}",
+                                 viewpoint.line, viewpoint.column)
+            if metaclass.text not in viewpoints[viewpoint.text]:
+                raise ParseError(f"viewpoint {viewpoint.text!r} declares no metaclass "
+                                 f"{metaclass.text!r}", metaclass.line, metaclass.column)
+            decl = AppliedToDeclaration(root.text, viewpoint.text, metaclass.text)
+            if decl not in applied:
+                applied.append(decl)
         local_names = {d.local_model for d in applied}
-        for decl in applied:
-            if decl.local_model not in trees:
-                raise UnknownLocalModel(
-                    f"LOCAL references undeclared feature model {decl.local_model!r}")
-            if decl.viewpoint not in viewpoints:
-                raise UnknownMetaclass(f"no viewpoint named {decl.viewpoint!r}")
-            if decl.metaclass not in viewpoints[decl.viewpoint]:
-                raise UnknownMetaclass(
-                    f"viewpoint {decl.viewpoint!r} declares no metaclass {decl.metaclass!r}")
 
         global_names = [n for n in trees if n not in local_names]
         if len(global_names) != 1:
@@ -127,16 +132,11 @@ class _DefinitionParser:
         defaults = defaults or ()
         unknown = set(defaults) - global_model.feature_names
         if unknown:
-            raise UnknownFeature(
-                "DEFAULTS names features missing from the global model: "
-                + ", ".join(sorted(unknown)))
+            raise ParseError("DEFAULTS names features missing from the global model: "
+                             + ", ".join(sorted(unknown)),
+                             defaults_span.line, defaults_span.column)
 
-        deduped: list[AppliedToDeclaration] = []
-        for decl in applied:
-            if decl not in deduped:
-                deduped.append(decl)
-
-        return SplDefinition(functional, viewpoints, tuple(deduped), defaults,
+        return SplDefinition(functional, viewpoints, tuple(applied), defaults,
                              source_name=filename, defaults_span=defaults_span)
 
     # -- declarations -------------------------------------------------------
@@ -225,7 +225,8 @@ class _DefinitionParser:
         rhs = self.ts.expect(IDENT)
         return CrossTreeConstraint(kind, lhs.text, rhs.text)
 
-    def local_decl(self) -> AppliedToDeclaration:
+    def local_decl(self) -> tuple[Token, Token, Token]:
+        """The root, viewpoint and metaclass names of a LOCAL line."""
         self.ts.expect("LOCAL")
         root = self.ts.expect(IDENT)
         self.ts.expect("APPLIED")
@@ -234,7 +235,7 @@ class _DefinitionParser:
         self.ts.expect(".")
         metaclass = self.ts.expect(IDENT)
         self.ts.expect(";")
-        return AppliedToDeclaration(root.text, viewpoint.text, metaclass.text)
+        return root, viewpoint, metaclass
 
     def defaults_decl(self) -> tuple[tuple[str, ...], Span]:
         start = self.ts.expect("DEFAULTS")

@@ -157,6 +157,28 @@ def test_check_reports_definition_errors(files, capsys):
     assert "children of 'W' differ" in err
 
 
+def test_json_format_reports_syntax_errors_at_their_position(files, capsys):
+    bad = write(files, "bad.gis", "CREATE GIS x;\n_y")
+    rc = main(["check", bad, "--spl", str(files / "gis.spl"), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    [row] = json.loads(err)
+    assert (row["line"], row["column"], row["code"]) == (2, 1, "syntax")
+
+    rc = main(["check", bad, "--spl", str(files / "gis.spl")])
+    assert capsys.readouterr().err.startswith(f"{bad}:2:1: error[syntax]: ")
+
+
+def test_check_reports_undeclared_local_models_at_the_name(files, capsys):
+    bad = write(files, "unk.spl", "VIEWPOINT data (Entity);\n\nFEATUREMODEL G {\n}\n"
+                                  "LOCAL W APPLIED TO data.Entity;\n")
+    rc = main(["check", str(files / "webeiel.gis"), "--spl", bad])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (f"{bad}:5:7: error[syntax]: "
+                   "LOCAL references undeclared feature model 'W'\n")
+
+
 # -- emit ----------------------------------------------------------------------
 
 def test_emit_writes_the_default_path_in_the_working_directory(

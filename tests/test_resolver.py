@@ -410,6 +410,67 @@ def test_two_locals_covering_one_element_union_their_configurations(
     source = "CREATE ENTITY City (id Long IDENTIFIER);\nCREATE GIS X;"
     resolved = resolve_text(source, definition)
     assert resolved.effective["data.City"] == {"EntityFeature", "MapFeature"}
+    rows = explain(resolved, "data.City")
+    assert {r.feature for r in rows} == {"EntityFeature", "MapFeature"}
+    assert {(r.origin, r.span.line) for r in rows} == {("global-default", 2)}
+
+
+def test_two_locals_explain_a_bound_element_with_the_other_default(gis_spl_source):
+    definition = parse_spl_definition(
+        gis_spl_source + "LOCAL MapFeature APPLIED TO data.Entity;\n",
+        filename="mut.spl")
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) "
+              "WITH FEATURES (FormAccess);\nCREATE GIS X;")
+    resolved = resolve_text(source, definition)
+    assert resolved.diagnostics == ()
+    rows = {r.feature: (r.origin, r.detail, r.span.line, r.span.column)
+            for r in explain(resolved, "data.City")}
+    assert rows == {
+        "EntityFeature": ("local", "bound local root", 1, 41),
+        "Form": ("closure(requires)", "required by FormAccess", 1, 41),
+        "FormAccess": ("local", None, 1, 41),
+        "List": ("closure(parent)", "parent of FormAccess", 1, 41),
+        "MapFeature": ("global-default", "no binding exists", 2, 1),
+    }
+    assert rows.keys() == resolved.effective["data.City"]
+
+
+NESTED_LOCALS_DEFINITION = """\
+VIEWPOINT data (Entity);
+
+FEATUREMODEL G {
+    OPTIONAL A {
+        OPTIONAL B {
+            OPTIONAL C
+        }
+    }
+}
+
+FEATUREMODEL A {
+    OPTIONAL B {
+        OPTIONAL C
+    }
+}
+
+FEATUREMODEL B {
+    OPTIONAL C
+}
+
+LOCAL A APPLIED TO data.Entity;
+LOCAL B APPLIED TO data.Entity;
+
+DEFAULTS (C);
+"""
+
+
+def test_a_feature_two_locals_share_keeps_the_bound_row():
+    definition = parse_spl_definition(NESTED_LOCALS_DEFINITION, filename="nested.spl")
+    source = "CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (C);\nCREATE GIS X;"
+    resolved = resolve_text(source, definition)
+    assert resolved.diagnostics == ()
+    # B defaults to {B, C}, but A's binding gives both, so its rows are shown
+    rows = {r.feature: (r.origin, r.span.line) for r in explain(resolved, "data.City")}
+    assert rows == {"A": ("local", 1), "B": ("closure(parent)", 1), "C": ("local", 1)}
 
 
 # -- explain ----------------------------------------------------------------------
@@ -567,7 +628,9 @@ def test_definition_aware_specs_resolve_consistently(fixture, request):
             if clean:
                 for m, config in zip(models, configs):
                     assert validate_configuration(local_models[m], config).valid, seed
-            reached.update(row.origin for row in explain(resolved, element))
+            rows = explain(resolved, element)
+            assert {r.feature for r in rows} == resolved.effective[element], seed
+            reached.update(row.origin for row in rows)
         if clean:
             assert verify_schema(emit(resolved)), seed
             reached.add("clean")

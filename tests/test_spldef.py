@@ -6,9 +6,6 @@ from localfeatures.errors import (
     DanglingConstraintEndpoint,
     ParseError,
     TwinMismatch,
-    UnknownFeature,
-    UnknownLocalModel,
-    UnknownMetaclass,
 )
 from localfeatures.features import GLOBAL, LOCAL, OR, XOR
 from localfeatures.multimodel import AppliedToDeclaration
@@ -162,20 +159,24 @@ def test_duplicate_defaults_rejected():
 
 def test_local_must_reference_a_declared_model():
     source = MINIMAL.replace("LOCAL Widget", "LOCAL Gadget")
-    with pytest.raises(UnknownLocalModel, match="Gadget"):
+    with pytest.raises(ParseError, match="Gadget") as info:
         parse_spl_definition(source)
+    assert (info.value.line, info.value.column) == (23, 7)
 
 
 def test_local_must_reference_a_declared_viewpoint_and_metaclass():
-    with pytest.raises(UnknownMetaclass, match="no viewpoint"):
+    with pytest.raises(ParseError, match="no viewpoint") as info:
         parse_spl_definition(MINIMAL.replace("TO data.Entity", "TO nowhere.Entity"))
-    with pytest.raises(UnknownMetaclass, match="declares no metaclass"):
+    assert (info.value.line, info.value.column) == (23, 25)
+    with pytest.raises(ParseError, match="declares no metaclass") as info:
         parse_spl_definition(MINIMAL.replace("TO data.Entity", "TO data.Nope"))
+    assert (info.value.line, info.value.column) == (23, 30)
 
 
 def test_defaults_must_name_global_features():
-    with pytest.raises(UnknownFeature, match="Nope"):
+    with pytest.raises(ParseError, match="Nope") as info:
         parse_spl_definition(MINIMAL.replace("DEFAULTS (A);", "DEFAULTS (A, Nope);"))
+    assert (info.value.line, info.value.column) == (25, 1)
 
 
 def test_constraint_endpoints_must_exist():
