@@ -5,8 +5,9 @@ semantics (features), viewpoint multimodels with per-element bindings
 (multimodel), the product specification DSL and the product line definition
 format with parsers and canonical printers (parser, printer, spldef),
 specification resolution with diagnostics and provenance (resolver), and
-deterministic derivation-config emission (emitter). A small CLI fronts it
-(cli, installed as ``lfc``).
+deterministic derivation-config emission (emitter) with a standard-library
+schema check (schemacheck). A small CLI fronts it (cli, installed as
+``lfc``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ same resolved product are byte-identical. Emission refuses while any
 error-severity diagnostic is present.
 
 verify_schema() checks a JSON text against the closed derivation-config
-schema shipped with the package.
+schema shipped with the package. It needs no third-party validator: on
+first use, schemacheck.compile_schema() turns the schema into nested
+predicates that accept exactly what JSON Schema Draft-07 validation accepts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
+from typing import Callable
 
 from .errors import UnresolvedErrors
 from .resolver import ResolvedProduct
@@ -102,18 +105,25 @@ def _map(decl: MapDecl) -> dict:
 
 
 @lru_cache(maxsize=1)
-def _schema() -> dict:
+def _schema_check() -> Callable[[object], bool]:
+    # imported here, not at the top: lfc never verifies, and without cached
+    # bytecode compiling the module would cost every import of the package
+    from .schemacheck import compile_schema
+
     text = (resources.files("localfeatures") / "schema"
             / "derivation-config.schema.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    return compile_schema(json.loads(text))
+
+
+def _reject_constant(name: str) -> object:
+    raise ValueError(f"{name} is not JSON")
 
 
 def verify_schema(text: str) -> bool:
-    """True iff the text is JSON conforming to the derivation-config schema."""
-    import jsonschema  # here, not at the top: importing it costs every lfc call
+    """True iff the text is JSON conforming to the derivation-config schema.
+    NaN, Infinity and -Infinity are not JSON. Never raises for a str."""
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError:
+        document = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError):
         return False
-    validator = jsonschema.Draft7Validator(_schema())
-    return not any(validator.iter_errors(document))
+    return _schema_check()(document)

@@ -124,3 +124,7 @@ class MissingProduct(ParseError):
 
 class UnresolvedErrors(LocalFeaturesError):
     """Emission refused while error-severity diagnostics are present."""
+
+
+class UnsupportedSchema(LocalFeaturesError):
+    """A JSON schema uses a keyword or form the schema compiler does not check."""

@@ -8,6 +8,8 @@ property types are parsed as relationship targets and judged by the resolver.
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .errors import DuplicateFlag, MissingProduct, MultipleProducts, ParseError
 from .lexer import EOF, IDENT, NUMBER, SPEC_KEYWORDS, Token, TokenStream
 from .syntax import (
@@ -155,18 +157,22 @@ class _Parser:
         self.ts.fail("(", "MAPPED_BY")
 
     def cardinality(self) -> Cardinality:
-        low = self.ts.current
-        if low.kind != NUMBER or not low.text.isdigit():
-            self.ts.fail("cardinality bound")
-        self.ts.advance()
+        low = self.cardinality_bound("cardinality bound")
         self.ts.expect("..")
         if self.ts.match("*"):
-            return Cardinality(int(low.text), None)
-        high = self.ts.current
-        if high.kind != NUMBER or not high.text.isdigit():
-            self.ts.fail("cardinality bound", "*")
+            return Cardinality(low, None)
+        return Cardinality(low, self.cardinality_bound("cardinality bound", "*"))
+
+    def cardinality_bound(self, *expected: str) -> int:
+        tok = self.ts.current
+        if tok.kind != NUMBER or not tok.text.isdigit():
+            self.ts.fail(*expected)
         self.ts.advance()
-        return Cardinality(int(low.text), int(high.text))
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("cardinality bound out of range",
+                             tok.line, tok.column) from None
 
     def layer_decl(self, start: Token) -> LayerDecl:
         source_kind = self.ts.expect(IDENT)
@@ -302,11 +308,18 @@ class _Parser:
 
     def coordinate_pair(self) -> tuple[float, float]:
         self.ts.expect("[")
-        x = float(self.ts.expect(NUMBER).text)
+        x = self.coordinate()
         self.ts.expect(",")
-        y = float(self.ts.expect(NUMBER).text)
+        y = self.coordinate()
         self.ts.expect("]")
         return (x, y)
+
+    def coordinate(self) -> float:
+        tok = self.ts.expect(NUMBER)
+        value = float(tok.text)
+        if not isfinite(value):  # JSON has no Infinity to emit it as
+            raise ParseError("coordinate out of range", tok.line, tok.column)
+        return value
 
     def span(self, start: Token, end: Token) -> Span:
         return Span(start.offset, end.end, start.line, start.column)

@@ -50,6 +50,20 @@ def ecommerce_definition(ecommerce_source):
 
 
 @pytest.fixture(scope="session")
+def ecommerce_on_entities(ecommerce_source):
+    """ecommerce.spl with its local model applied to data.Entity. As shipped
+    it applies to catalog.Category, which no specification construct places,
+    so nothing can bind it; and gis.spl's local models have no group or
+    excludes that a closed clause can break. This variant is what reaches
+    invalid-selection."""
+    source = ecommerce_source.replace(
+        "VIEWPOINT catalog (Category, CategoryComposite);",
+        "VIEWPOINT data (Entity);\nVIEWPOINT visualization (Map, Layer, LayerInMap);",
+    ).replace("APPLIED TO catalog.Category", "APPLIED TO data.Entity")
+    return parse_spl_definition(source, filename="ecommerce-entities.spl")
+
+
+@pytest.fixture(scope="session")
 def package_env() -> dict[str, str]:
     """The environment for a child interpreter that imports this package."""
     env = dict(os.environ)

@@ -132,6 +132,15 @@ def test_check_reports_spec_syntax_errors(files, capsys):
     assert re.search(r"bad\.gis:1:\d+:", err)
 
 
+def test_check_reports_non_finite_coordinates_as_syntax_errors(
+        files, capsys, webeiel_source):
+    bad = write(files, "inf.gis", webeiel_source.replace("40.712", "9" * 400, 1))
+    rc = main(["check", bad, "--spl", str(files / "gis.spl")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "inf.gis:25:19: error[syntax]: coordinate out of range" in err
+
+
 def test_check_reports_spl_syntax_errors(files, capsys):
     bad = write(files, "bad.spl", "FEATUREMODEL {")
     rc = main(["check", str(files / "webeiel.gis"), "--spl", bad])

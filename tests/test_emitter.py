@@ -138,6 +138,20 @@ def test_non_json_text_does_not_conform():
     assert not verify_schema("")
 
 
+@pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+def test_non_finite_numbers_do_not_conform(golden_json, constant):
+    # json.loads reads these constants, but they are not JSON
+    assert "40.712" in golden_json
+    assert not verify_schema(golden_json.replace("40.712", constant, 1))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a":' * 100000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_text_does_not_conform(text):
+    # json.loads raises RecursionError here; verify_schema must not
+    assert verify_schema(text) is False
+
+
 @pytest.mark.parametrize("mutate", [
     lambda c: c.__setitem__("features", {}),
     lambda c: c.__setitem__("schemaVersion", 2),
@@ -159,13 +173,32 @@ def test_schema_is_closed_against_mutations(golden_json, mutate):
 
 
 def test_importing_the_package_does_not_import_jsonschema(package_env):
-    # only verify_schema needs it, so no other caller pays for its import
+    # jsonschema is a test dependency only: the package never imports it,
+    # and its own schema checker waits for the first verify_schema call
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, localfeatures; print('jsonschema' in sys.modules)"],
+         "import sys, localfeatures; "
+         "print('jsonschema' in sys.modules, 'localfeatures.schemacheck' in sys.modules)"],
         capture_output=True, text=True, env=package_env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
+
+    # and verify_schema works where jsonschema cannot be imported: a None
+    # entry in sys.modules makes any import of it fail
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from localfeatures import emit, parse, resolve, verify_schema\n"
+        "from localfeatures.spldef import parse_spl_definition\n"
+        "from importlib import resources\n"
+        "data = resources.files('localfeatures') / 'data'\n"
+        "resolved = resolve(parse((data / 'webeiel.gis').read_text()),\n"
+        "                   parse_spl_definition((data / 'gis.spl').read_text()))\n"
+        "print(verify_schema(emit(resolved)))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=package_env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
 
 
 def test_derivation_config_is_plain_data(webeiel_resolved):

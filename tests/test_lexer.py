@@ -16,8 +16,7 @@ from localfeatures.lexer import (
 )
 
 from conftest import FIXTURES, packaged
-from generators import random_token_soup, reference_tokenize
-from test_acceptance import scale_spec_text
+from generators import random_token_soup, reference_tokenize, scale_spec_text
 
 KEYWORD_SETS = pytest.mark.parametrize(
     "keywords", [SPEC_KEYWORDS, DEFINITION_KEYWORDS], ids=["spec", "definition"])

@@ -213,6 +213,30 @@ def test_malformed_cardinalities_are_rejected(cardinality):
               "CREATE GIS X;")
 
 
+@pytest.mark.parametrize("old, new, column", [
+    ("40.712", "9" * 400, 19),
+    ("-74.125", "-" + "9" * 400, 46),
+], ids=["positive", "negative"])
+def test_non_finite_coordinates_are_rejected_at_the_number(webeiel_source, old, new, column):
+    # float() turns 400 digits into inf, which JSON cannot carry
+    with pytest.raises(ParseError) as exc:
+        parse(webeiel_source.replace(old, new, 1))
+    assert exc.value.message == "coordinate out of range"
+    assert (exc.value.line, exc.value.column) == (25, column)
+
+
+@pytest.mark.parametrize("cardinality, column", [
+    ("9" * 5000 + "..1", 35), ("1.." + "9" * 5000, 38)], ids=["low", "high"])
+def test_cardinality_bounds_beyond_int_conversion_are_rejected(cardinality, column):
+    # int() refuses more than 4300 digits with a ValueError
+    with pytest.raises(ParseError) as exc:
+        parse("CREATE ENTITY E (id Long IDENTIFIER);\n"
+              f"CREATE ENTITY F (e E RELATIONSHIP({cardinality}, 0..*));\n"
+              "CREATE GIS X;")
+    assert exc.value.message == "cardinality bound out of range"
+    assert (exc.value.line, exc.value.column) == (2, column)
+
+
 @pytest.mark.parametrize("upper", ["*", "3"])
 def test_wellformed_cardinalities(upper):
     spec = parse("CREATE ENTITY E (id Long IDENTIFIER);\n"

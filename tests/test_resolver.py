@@ -551,20 +551,6 @@ def test_diagnostic_sort_key_tolerates_missing_spans():
 
 # -- definition-aware fuzz ------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def ecommerce_on_entities(ecommerce_source):
-    """ecommerce.spl with its local model applied to data.Entity. As shipped
-    it applies to catalog.Category, which no specification construct places,
-    so nothing can bind it; and gis.spl's local models have no group or
-    excludes that a closed clause can break. This variant is what reaches
-    invalid-selection."""
-    source = ecommerce_source.replace(
-        "VIEWPOINT catalog (Category, CategoryComposite);",
-        "VIEWPOINT data (Entity);\nVIEWPOINT visualization (Map, Layer, LayerInMap);",
-    ).replace("APPLIED TO catalog.Category", "APPLIED TO data.Entity")
-    return parse_spl_definition(source, filename="ecommerce-entities.spl")
-
-
 # What 300 seeds must reach per definition: diagnostic codes, explain origins,
 # "bound" when some element got a binding and "clean" for a product without
 # errors.
