@@ -36,7 +36,6 @@ from .multimodel import (
     FunctionalModel,
     LocalBinding,
     ModelEntity,
-    ModelRelationship,
     Multimodel,
     ViewpointModel,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "FunctionalModel",
     "LocalBinding",
     "ModelEntity",
-    "ModelRelationship",
     "Multimodel",
     "Provenance",
     "ResolvedProduct",

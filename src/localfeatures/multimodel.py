@@ -43,24 +43,15 @@ class ModelEntity:
 
     name: str
     kind: str
-    attributes: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ModelRelationship:
-    name: str
-    source: str
-    target: str
 
 
 @dataclass(frozen=True)
 class ViewpointModel:
-    """One system viewpoint: its metaclass vocabulary, elements, relations."""
+    """One system viewpoint: its metaclass vocabulary and elements."""
 
     name: str
     metaclasses: frozenset[str]
     entities: dict[str, ModelEntity] = field(default_factory=dict)
-    relationships: tuple[ModelRelationship, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -186,12 +177,6 @@ class Multimodel:
         if vp is None or name not in vp.entities:
             raise UnknownElement(f"no element {qualified_name!r} in the multimodel")
         return vp.entities[name]
-
-    def elements(self) -> Iterator[tuple[str, ModelEntity]]:
-        """Yield (qualified name, entity) over all viewpoints, in model order."""
-        for vp in self.viewpoints.values():
-            for entity in vp.entities.values():
-                yield f"{vp.name}.{entity.name}", entity
 
     # -- construction -------------------------------------------------------
 

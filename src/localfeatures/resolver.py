@@ -1,11 +1,16 @@
 """Resolution of a product specification against a product line definition.
 
-resolve() builds the multimodel (viewpoint elements, applied-to declarations,
-local bindings, global selection), validates everything, and computes each
-covered element's effective configuration plus the product's included-feature
-set. Semantic problems never raise: they become Diagnostics and resolution
+resolve() runs four steps. It checks names, keeping the first declaration of
+each entity, layer and map name; closes and validates the global selection;
+builds the multimodel from the definition's viewpoints and applied-to
+declarations, then walks the kept declarations once, placing each element in
+its viewpoint and binding its feature clause in the same visit; and finally
+computes each covered element's effective configuration plus the product's
+included-feature set, checking the global defaults elements fall back to.
+Semantic problems never raise: they become Diagnostics and resolution
 continues, so one run reports as much as possible. Error-severity diagnostics
-block emission downstream.
+block emission downstream. Diagnostics about spec elements, no-metaclass
+included, cite the spec; those about the global defaults cite the definition.
 
 The specification's syntactic positions route feature clauses: an entity
 clause binds through the local model applied to data.Entity, a map clause
@@ -19,14 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import DuplicateBinding, InvalidSelection, KindMismatch, UnknownElement
+from .errors import DuplicateBinding, InvalidSelection, UnknownElement
 from .features import Configuration, close_selection, validate_configuration
-from .multimodel import (
-    ModelEntity,
-    ModelRelationship,
-    Multimodel,
-    ViewpointModel,
-)
+from .multimodel import ModelEntity, Multimodel, ViewpointModel
 from .spldef import SplDefinition
 from .syntax import (
     BUILTIN_TYPES,
@@ -159,13 +159,13 @@ class _Resolution:
     def run(self) -> ResolvedProduct:
         self.check_names()
         global_selection = self.global_selection()
-        mm = Multimodel(self.definition.functional,
-                        self.build_viewpoints(),
-                        global_selection,
+        viewpoints = {name: ViewpointModel(name, frozenset(metaclasses))
+                      for name, metaclasses in self.definition.viewpoints.items()}
+        mm = Multimodel(self.definition.functional, viewpoints, global_selection,
                         validate=False)
         for decl in self.definition.applied_to:
             mm.declare_applied_to(decl.local_model, decl.viewpoint, decl.metaclass)
-        self.bind_all(mm)
+        self.place_all(mm)
 
         defaults = {name: mm.global_default(name) for name in self.definition.functional.locals}
         effective: dict[str, Configuration] = {}
@@ -191,15 +191,11 @@ class _Resolution:
 
     def check_names(self) -> None:
         spec = self.spec
-        self.skip_entities: set[int] = set()
-        self.skip_maps: set[int] = set()
-
         entities: dict[str, EntityDecl] = {}
         for decl in spec.entities:
             if decl.name in entities:
                 self.error("duplicate-name",
                            f"entity {decl.name!r} is declared twice", decl.span)
-                self.skip_entities.add(id(decl))
                 continue
             entities[decl.name] = decl
         self.entities = entities
@@ -262,88 +258,11 @@ class _Resolution:
             if map_decl.name in maps:
                 self.error("duplicate-name",
                            f"map {map_decl.name!r} is declared twice", map_decl.span)
-                self.skip_maps.add(id(map_decl))
                 continue
             maps[map_decl.name] = map_decl
-            seen_refs: set[str] = set()
-            for ref in map_decl.layers:
-                if ref.name in seen_refs:
-                    self.error("duplicate-name",
-                               f"map {map_decl.name!r} references layer {ref.name!r} twice",
-                               ref.span)
-                seen_refs.add(ref.name)
-                # base layers are built-in tile sources, not declared data layers
-                if not ref.is_base_layer and ref.name not in layers:
-                    self.error("unknown-layer",
-                               f"map {map_decl.name!r} references undeclared layer "
-                               f"{ref.name!r}", ref.span)
         self.maps = maps
 
-    # -- step 2: viewpoints and elements ---------------------------------------
-
-    def build_viewpoints(self) -> dict[str, ViewpointModel]:
-        viewpoints = {
-            name: ViewpointModel(name, frozenset(metaclasses))
-            for name, metaclasses in self.definition.viewpoints.items()}
-
-        def place(viewpoint: str, metaclass: str, entity: ModelEntity, span: Span) -> bool:
-            vp = viewpoints.get(viewpoint)
-            if vp is None or metaclass not in vp.metaclasses:
-                self.error("no-metaclass",
-                           f"definition declares no {viewpoint}.{metaclass}; cannot "
-                           f"place element {entity.name!r}", span,
-                           source=self.definition.source_name)
-                return False
-            vp.entities[entity.name] = entity
-            return True
-
-        relationships: dict[str, list[ModelRelationship]] = {}
-
-        for decl in self.spec.entities:
-            if id(decl) in self.skip_entities:
-                continue
-            place(DATA_VIEWPOINT, ENTITY_METACLASS,
-                  ModelEntity(decl.name, ENTITY_METACLASS), decl.span)
-            for prop in decl.properties:
-                if prop.relationship is not None and prop.type_name in self.entities:
-                    relationships.setdefault(DATA_VIEWPOINT, []).append(
-                        ModelRelationship(prop.name, decl.name, prop.type_name))
-
-        for layer in self.layers.values():
-            place(VISUALIZATION_VIEWPOINT, LAYER_METACLASS,
-                  ModelEntity(layer.name, LAYER_METACLASS, {
-                      "display_name": layer.display_name,
-                      "entity": layer.entity,
-                      "source": layer.source_kind,
-                  }), layer.span)
-
-        for map_decl in self.spec.maps:
-            if id(map_decl) in self.skip_maps:
-                continue
-            place(VISUALIZATION_VIEWPOINT, MAP_METACLASS,
-                  ModelEntity(map_decl.name, MAP_METACLASS, {
-                      "display_name": map_decl.display_name,
-                  }), map_decl.span)
-            seen: set[str] = set()
-            for ref in map_decl.layers:
-                if ref.name in seen:
-                    continue
-                seen.add(ref.name)
-                qname = f"{map_decl.name}.{ref.name}"
-                if place(VISUALIZATION_VIEWPOINT, LAYER_IN_MAP_METACLASS,
-                         ModelEntity(qname, LAYER_IN_MAP_METACLASS, {
-                             "map": map_decl.name,
-                             "layer": ref.name,
-                         }), ref.span):
-                    relationships.setdefault(VISUALIZATION_VIEWPOINT, []).append(
-                        ModelRelationship("in", qname, map_decl.name))
-
-        return {
-            name: ViewpointModel(vp.name, vp.metaclasses, vp.entities,
-                                 tuple(relationships.get(name, ())))
-            for name, vp in viewpoints.items()}
-
-    # -- step 3: global selection ----------------------------------------------
+    # -- step 2: global selection ----------------------------------------------
 
     def global_selection(self) -> Configuration:
         global_model = self.definition.functional.global_model
@@ -367,35 +286,59 @@ class _Resolution:
                            product.span)
         return selection
 
-    # -- step 4: bindings --------------------------------------------------------
+    # -- step 3: elements and their bindings ---------------------------------------
 
-    def bind_all(self, mm: Multimodel) -> None:
-        for decl in self.spec.entities:
-            if decl.features is not None and id(decl) not in self.skip_entities:
-                self.bind(mm, f"{DATA_VIEWPOINT}.{decl.name}",
-                          f"{DATA_VIEWPOINT}.{ENTITY_METACLASS}",
-                          decl.features, f"entity {decl.name!r}")
-        for map_decl in self.spec.maps:
-            if id(map_decl) in self.skip_maps:
-                continue
-            if map_decl.features is not None:
-                self.bind(mm, f"{VISUALIZATION_VIEWPOINT}.{map_decl.name}",
-                          f"{VISUALIZATION_VIEWPOINT}.{MAP_METACLASS}",
-                          map_decl.features, f"map {map_decl.name!r}")
+    def place_all(self, mm: Multimodel) -> None:
+        """Place the first declaration of each name, and the first reference to
+        each layer in a map, binding each element's clause as it is placed."""
+        for decl in self.entities.values():
+            self.place(mm, DATA_VIEWPOINT, ENTITY_METACLASS, decl.name, decl.span,
+                       decl.features, f"entity {decl.name!r}")
+        for layer in self.layers.values():
+            self.place(mm, VISUALIZATION_VIEWPOINT, LAYER_METACLASS, layer.name, layer.span,
+                       None, f"layer {layer.name!r}")
+        for map_decl in self.maps.values():
+            self.place(mm, VISUALIZATION_VIEWPOINT, MAP_METACLASS, map_decl.name,
+                       map_decl.span, map_decl.features, f"map {map_decl.name!r}")
             seen: set[str] = set()
             for ref in map_decl.layers:
+                # base layers are built-in tile sources, not declared data layers
+                if not ref.is_base_layer and ref.name not in self.layers:
+                    self.error("unknown-layer",
+                               f"map {map_decl.name!r} references undeclared layer "
+                               f"{ref.name!r}", ref.span)
                 if ref.name in seen:
+                    self.error("duplicate-name",
+                               f"map {map_decl.name!r} references layer {ref.name!r} twice",
+                               ref.span)
                     continue
                 seen.add(ref.name)
-                if ref.features is not None:
-                    self.bind(mm,
-                              f"{VISUALIZATION_VIEWPOINT}.{map_decl.name}.{ref.name}",
-                              f"{VISUALIZATION_VIEWPOINT}.{LAYER_IN_MAP_METACLASS}",
-                              ref.features,
-                              f"layer {ref.name!r} in map {map_decl.name!r}")
+                self.place(mm, VISUALIZATION_VIEWPOINT, LAYER_IN_MAP_METACLASS,
+                           f"{map_decl.name}.{ref.name}", ref.span, ref.features,
+                           f"layer {ref.name!r} in map {map_decl.name!r}")
+
+    def place(self, mm: Multimodel, viewpoint: str, metaclass: str, name: str, span: Span,
+              clause: FeatureClause | None, described: str) -> None:
+        vp = mm.viewpoints.get(viewpoint)
+        placed = False
+        if vp is None or metaclass not in vp.metaclasses:
+            self.error("no-metaclass",
+                       f"definition declares no {viewpoint}.{metaclass}; cannot "
+                       f"place element {name!r}", span)
+        elif name in vp.entities:
+            # layers and maps share the visualization viewpoint's namespace
+            self.error("duplicate-name",
+                       f"{described} has the same name as "
+                       f"{vp.entities[name].kind.lower()} {name!r}", span)
+        else:
+            vp.entities[name] = ModelEntity(name, metaclass)
+            placed = True
+        if clause is not None:
+            self.bind(mm, f"{viewpoint}.{name}", f"{viewpoint}.{metaclass}",
+                      clause, described, placed)
 
     def bind(self, mm: Multimodel, element: str, route: str,
-             clause: FeatureClause, described: str) -> None:
+             clause: FeatureClause, described: str, placed: bool) -> None:
         local_name = self.route.get(route)
         if local_name is None:
             self.error("no-local-model",
@@ -416,7 +359,7 @@ class _Resolution:
             self.error("unknown-feature",
                        f"{described} selects {name!r}, which is not a feature of "
                        f"local model {local_name!r}{hint}", clause.span)
-        if bad:
+        if bad or not placed:  # an unplaced element's clause is checked, never bound
             return
 
         try:
@@ -428,9 +371,6 @@ class _Resolution:
         except InvalidSelection as exc:
             self.error("invalid-selection", str(exc), clause.span)
             return
-        except (UnknownElement, KindMismatch):
-            # the element was never placed; a no-metaclass error already says why
-            return
         self.clause_spans[element] = clause.span
 
     def owning_model(self, feature: str) -> str | None:
@@ -441,7 +381,7 @@ class _Resolution:
             return "the global model"
         return None
 
-    # -- step 5: default sanity ---------------------------------------------------
+    # -- step 4: default sanity ---------------------------------------------------
 
     def check_defaults(self, defaults: dict[str, Configuration],
                        fallers: dict[str, list[str]]) -> None:

@@ -188,6 +188,34 @@ def test_check_reports_undeclared_local_models_at_the_name(files, capsys):
                    "LOCAL references undeclared feature model 'W'\n")
 
 
+def test_check_cites_unplaceable_elements_in_the_spec(files, capsys):
+    spl = write(files, "data.spl", "VIEWPOINT data (Entity);\n\nFEATUREMODEL G {\n}\n")
+    spec = write(files, "m.gis", (
+        "CREATE ENTITY City (id Long IDENTIFIER);\n"
+        "CREATE GEOJSON LAYER cities AS C FOR City WITH STYLES (a DEFAULT);\n"
+        "CREATE GIS X;"))
+    rc = main(["check", spec, "--spl", spl])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == "1 errors, 0 warnings\n"
+    assert err == (f"{spec}:2:1: error[no-metaclass]: definition declares no "
+                   "visualization.Layer; cannot place element 'cities'\n")
+
+
+def test_check_rejects_a_map_named_like_a_layer(files, capsys):
+    spec = write(files, "clash.gis", (
+        "CREATE ENTITY Hotel (id Long IDENTIFIER);\n"
+        "CREATE GEOJSON LAYER hotels AS H FOR Hotel WITH STYLES (a DEFAULT);\n"
+        "CREATE MAP hotels AS M WITH LAYERS (b IS_BASE_LAYER, hotels);\n"
+        "CREATE GIS X;"))
+    rc = main(["check", spec, "--spl", str(files / "gis.spl")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == "1 errors, 0 warnings\n"
+    assert err == (f"{spec}:3:1: error[duplicate-name]: "
+                   "map 'hotels' has the same name as layer 'hotels'\n")
+
+
 # -- emit ----------------------------------------------------------------------
 
 def test_emit_writes_the_default_path_in_the_working_directory(

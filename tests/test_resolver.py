@@ -71,6 +71,12 @@ def codes(resolved):
     return [(d.severity, d.code) for d in resolved.diagnostics]
 
 
+def placed(mm):
+    """(qualified name, kind) of every element over all viewpoints, in model order."""
+    return [(f"{vp.name}.{name}", entity.kind)
+            for vp in mm.viewpoints.values() for name, entity in vp.entities.items()]
+
+
 # -- the golden product ----------------------------------------------------------
 
 def test_golden_product_resolves_without_diagnostics(webeiel_resolved):
@@ -160,6 +166,11 @@ def test_duplicate_declarations_are_reported(gis_definition):
     lines = [d.span.line for d in resolved.diagnostics]
     assert lines == [2, 4, 6, 7]
     assert "references layer 'l' twice" in resolved.diagnostics[3].message
+    assert placed(resolved.multimodel) == [
+        ("data.City", "Entity"), ("visualization.l", "Layer"),
+        ("visualization.m", "Map"), ("visualization.m.b", "LayerInMap"),
+        ("visualization.m.l", "LayerInMap"), ("visualization.n", "Map"),
+        ("visualization.n.b", "LayerInMap"), ("visualization.n.l", "LayerInMap")]
 
 
 def test_unknown_property_type_is_reported(gis_definition):
@@ -311,8 +322,37 @@ def test_unplaceable_elements_are_reported_once(gis_spl_source):
     resolved = resolve_text(source, definition)
     placement = [d for d in resolved.errors if d.code == "no-metaclass"]
     assert len(placement) == 2  # one per layer-in-map element
-    assert all(d.source == "mut.spl" for d in placement)
+    assert all(d.source == "spec.gis" for d in placement)
     assert {d.code for d in resolved.errors} == {"no-metaclass", "no-local-model"}
+
+
+LAYER_MAP_CLASH = ("CREATE ENTITY Hotel (id Long IDENTIFIER);\n"
+                   "CREATE GEOJSON LAYER hotels AS H FOR Hotel WITH STYLES (a DEFAULT);\n"
+                   "CREATE MAP hotels AS M WITH LAYERS (b IS_BASE_LAYER, hotels)\n"
+                   "    WITH FEATURES (LayerManager);\n")
+
+
+@pytest.mark.parametrize("source", [
+    LAYER_MAP_CLASH,
+    # the map is the one reported wherever it stands in the source
+    "\n".join(LAYER_MAP_CLASH.splitlines()[i] for i in (0, 2, 3, 1)) + "\n",
+], ids=["layer-first", "map-first"])
+def test_a_map_may_not_reuse_a_layer_name(gis_spl_source, source):
+    definition = parse_spl_definition(
+        gis_spl_source + "LOCAL LayerFeature APPLIED TO visualization.Layer;\n",
+        filename="layers.spl")
+    resolved = resolve_text(source + "CREATE GIS X;", definition)
+    [clash] = resolved.errors
+    assert clash.code == "duplicate-name"
+    assert clash.message == "map 'hotels' has the same name as layer 'hotels'"
+    map_line = next(i for i, line in enumerate(source.splitlines(), 1)
+                    if line.startswith("CREATE MAP"))
+    assert (clash.source, clash.span.line, clash.span.column) == ("spec.gis", map_line, 1)
+    mm = resolved.multimodel
+    assert mm.element("visualization.hotels").kind == "Layer"
+    assert resolved.effective["visualization.hotels"] == {"LayerFeature"}
+    assert mm.bindings == ()
+    assert "visualization.hotels.hotels" in resolved.effective
 
 
 def test_invalid_closed_clause_selection_is_reported():
@@ -575,6 +615,29 @@ def clauses_by_element(spec):
     return clauses
 
 
+def first_of_each_name(decls):
+    first = {}
+    for decl in decls:
+        first.setdefault(decl.name, decl)
+    return first.values()
+
+
+def expected_placement(spec, definition):
+    """(qualified name, kind) of each element the spec places, in model order,
+    worked out from the AST: the first entity, layer and map of each name and
+    each map's first reference to each layer name, wherever the definition
+    declares the element's metaclass."""
+    elements = {"data": [(e.name, "Entity") for e in first_of_each_name(spec.entities)],
+                "visualization": [(l.name, "Layer") for l in first_of_each_name(spec.layers)]}
+    for map_decl in first_of_each_name(spec.maps):
+        elements["visualization"].append((map_decl.name, "Map"))
+        for ref in first_of_each_name(map_decl.layers):
+            elements["visualization"].append((f"{map_decl.name}.{ref.name}", "LayerInMap"))
+    return [(f"{viewpoint}.{name}", kind)
+            for viewpoint, metaclasses in definition.viewpoints.items()
+            for name, kind in elements.get(viewpoint, ()) if kind in metaclasses]
+
+
 def expected_row(feature, step, span, source):
     """The explain row for one closure step, spelled out independently of
     the resolver."""
@@ -602,6 +665,7 @@ def test_definition_aware_specs_resolve_consistently(fixture, request):
         resolved = resolve(spec, definition)  # must never raise
         mm = resolved.multimodel
         clean = not resolved.errors
+        assert placed(mm) == expected_placement(spec, definition), seed
 
         assert resolved.included == mm.included_features(), seed
         covered = {}
