@@ -7,6 +7,12 @@ usual tree semantics: the root is always selected, selection is parent-closed,
 mandatory children of selected features are selected, xor groups have exactly
 one selected child, or groups at least one, and requires/excludes constraints
 hold. Features play no role when their parent is unselected.
+
+Each model's index, laid out once, serves lookups, closure and enumeration;
+validate_configuration reads only the tree. Closure runs in passes from what
+the previous pass added, the seeds and root at first: their parents in name
+order, mandatory descendants of them and the new parents, then one requires
+sweep in declaration order. That order decides which rule gets the credit.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ class FeatureModel:
     """A validated feature tree plus cross-tree constraints.
 
     Instances come from build_feature_model, which enforces the structural
-    invariants; the derived lookup tables below assume them.
+    invariants; index lays the tree out in preorder once, on first use.
     """
 
     root: Feature
@@ -98,43 +104,73 @@ class FeatureModel:
     name: str = ""
 
     @cached_property
-    def by_name(self) -> dict[str, Feature]:
-        return {f.name: f for f in self.iter_features()}
+    def index(self) -> FeatureIndex:
+        features: list[Feature] = []
+        parent: list[int] = []
+        stack: list[tuple[Feature, int]] = [(self.root, -1)]
+        while stack:
+            f, p = stack.pop()
+            stack.extend((c, len(features)) for c in reversed(f.children))
+            features.append(f)
+            parent.append(p)
+        position = {f.name: i for i, f in enumerate(features)}
+        n = len(features)
+        end = list(range(1, n + 1))
+        for i in range(n - 1, 0, -1):
+            end[parent[i]] = max(end[parent[i]], end[i])
+        rule = [_FORCED] * n
+        last = [False] * n
+        earlier: list[tuple[int, ...]] = [()] * n
+        for f in features:
+            kids = [position[c.name] for c in f.children]
+            for k, (i, c) in enumerate(zip(kids, f.children)):
+                if f.group is None:
+                    rule[i] = _FORCED if c.kind == MANDATORY else _FREE
+                else:
+                    rule[i] = _XOR if f.group == XOR else _FREE
+                    last[i] = k == len(kids) - 1
+                    earlier[i] = tuple(kids[:k])
 
-    @cached_property
-    def parent_name(self) -> dict[str, str | None]:
-        parents: dict[str, str | None] = {self.root.name: None}
-        for f in self.iter_features():
-            for c in f.children:
-                parents[c.name] = f.name
-        return parents
+        needs: list[list[int]] = [[] for _ in range(n)]
+        forbids: list[list[int]] = [[] for _ in range(n)]
+        skip_forbids: list[list[int]] = [[] for _ in range(n)]
+        for ct in self.constraints:
+            lhs, rhs = position[ct.lhs], position[ct.rhs]
+            if ct.kind == EXCLUDES:
+                forbids[max(lhs, rhs)].append(min(lhs, rhs))
+            elif lhs > rhs:
+                needs[lhs].append(rhs)
+            else:
+                # rhs is dropped with any subtree holding it; a subtree rooted
+                # after lhs cannot hold lhs, which must then be unselected
+                i = rhs
+                while i > lhs:
+                    skip_forbids[i].append(lhs)
+                    i = parent[i]
+        requires = tuple((ct.lhs, ct.rhs) for ct in self.constraints if ct.kind == REQUIRES)
+        return FeatureIndex(
+            tuple(features), position, tuple(parent), tuple(end), requires,
+            tuple(rule), tuple(last), tuple(earlier), tuple(map(tuple, needs)),
+            tuple(map(tuple, forbids)), tuple(map(tuple, skip_forbids)))
 
     @cached_property
     def feature_names(self) -> frozenset[str]:
-        return frozenset(self.by_name)
-
-    @cached_property
-    def enumeration_plan(self) -> EnumerationPlan:
-        return _enumeration_plan(self)
+        return frozenset(self.index.position)
 
     def iter_features(self) -> Iterator[Feature]:
         """Yield every feature in preorder."""
-        stack = [self.root]
-        while stack:
-            f = stack.pop()
-            yield f
-            stack.extend(reversed(f.children))
+        return iter(self.index.features)
 
     def feature(self, name: str) -> Feature:
         try:
-            return self.by_name[name]
+            return self.index.features[self.index.position[name]]
         except KeyError:
             raise UnknownFeature(
                 f"model {self.name or self.root.name!r} has no feature {name!r}"
             ) from None
 
     def __contains__(self, name: object) -> bool:
-        return name in self.by_name
+        return name in self.index.position
 
 
 def build_feature_model(root: Feature,
@@ -184,6 +220,39 @@ def _normalize(f: Feature, *, is_root: bool = False, in_group: bool = False) -> 
     return Feature(f.name, kind, f.group, f.abstract, children)
 
 
+# How enumerate_configurations decides a feature whose parent is selected.
+# A group's last child is selected when no earlier sibling is.
+_FORCED = 0   # the root or a mandatory child: selected
+_FREE = 1     # an optional or an or-group child: either way
+_XOR = 2      # an xor-group child: unselected once an earlier sibling is
+
+
+@dataclass(frozen=True)
+class FeatureIndex:
+    """A feature model's tree facts, by preorder position.
+
+    A feature's subtree occupies positions [i, end[i]), and requires holds
+    the requires constraints as (lhs, rhs) names in declaration order. For
+    enumerate_configurations, grouped children list their earlier siblings
+    and last marks a group's final child. Each cross-tree constraint is
+    checked when its second endpoint is decided: selecting a feature needs
+    some earlier positions selected and forbids others, and dropping a
+    subtree forbids the left sides of requires whose right sides it holds.
+    """
+
+    features: tuple[Feature, ...]
+    position: dict[str, int]
+    parent: tuple[int, ...]
+    end: tuple[int, ...]
+    requires: tuple[tuple[str, str], ...]
+    rule: tuple[int, ...]
+    last: tuple[bool, ...]
+    earlier: tuple[tuple[int, ...], ...]
+    needs: tuple[tuple[int, ...], ...]
+    forbids: tuple[tuple[int, ...], ...]
+    skip_forbids: tuple[tuple[int, ...], ...]
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -217,6 +286,7 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
             "selection names unknown features: " + ", ".join(sorted(unknown)))
 
     violations: list[RuleViolation] = []
+    parent_of = {c.name: f.name for f in fm.iter_features() for c in f.children}
 
     if fm.root.name not in selected:
         violations.append(RuleViolation(
@@ -224,7 +294,7 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
             f"root feature {fm.root.name!r} is not selected"))
 
     for name in sorted(selected):
-        parent = fm.parent_name[name]
+        parent = parent_of.get(name)
         if parent is not None and parent not in selected:
             violations.append(RuleViolation(
                 "parent-missing", (name, parent),
@@ -280,16 +350,15 @@ def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[C
     to validate_configuration, so the two routes check each other.
     Deterministic: the result is sorted by the sorted feature-name tuple.
     """
-    count = len(fm.feature_names)
-    if count > max_features:
-        raise ModelTooLarge(
-            f"model has {count} features, enumeration capped at {max_features}")
-
-    plan = fm.enumeration_plan
-    names, end, rule, last = plan.names, plan.end, plan.rule, plan.last
-    earlier, needs, forbids, skip_forbids = (
-        plan.earlier, plan.needs, plan.forbids, plan.skip_forbids)
+    index = fm.index
+    names = [f.name for f in index.features]
     n = len(names)
+    if n > max_features:
+        raise ModelTooLarge(
+            f"model has {n} features, enumeration capped at {max_features}")
+
+    end, rule, last, earlier = index.end, index.rule, index.last, index.earlier
+    needs, forbids, skip_forbids = index.needs, index.forbids, index.skip_forbids
     sel = [False] * n
     unselected = [False] * n
     found: list[Configuration] = []
@@ -326,81 +395,6 @@ def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[C
     return found
 
 
-# How enumerate_configurations decides a feature whose parent is selected.
-# A group's last child is selected when no earlier sibling is.
-_FORCED = 0   # the root or a mandatory child: selected
-_FREE = 1     # an optional or an or-group child: either way
-_XOR = 2      # an xor-group child: unselected once an earlier sibling is
-
-
-@dataclass(frozen=True)
-class EnumerationPlan:
-    """A feature model laid out for enumerate_configurations.
-
-    Positions are preorder indices, and a feature's subtree occupies
-    positions [i, end[i]). Grouped children list their earlier siblings, and
-    last marks a group's final child. Each cross-tree constraint is checked
-    once, when its second endpoint is decided: selecting a feature needs
-    some earlier positions selected and forbids others, and dropping a
-    subtree forbids the left sides of the requires constraints whose right
-    sides it holds.
-    """
-
-    names: tuple[str, ...]
-    end: tuple[int, ...]
-    rule: tuple[int, ...]
-    last: tuple[bool, ...]
-    earlier: tuple[tuple[int, ...], ...]
-    needs: tuple[tuple[int, ...], ...]
-    forbids: tuple[tuple[int, ...], ...]
-    skip_forbids: tuple[tuple[int, ...], ...]
-
-
-def _enumeration_plan(fm: FeatureModel) -> EnumerationPlan:
-    order = list(fm.iter_features())
-    pos = {f.name: i for i, f in enumerate(order)}
-    n = len(order)
-    parent = [-1] * n
-    rule = [_FORCED] * n
-    last = [False] * n
-    earlier: list[tuple[int, ...]] = [()] * n
-    for p, f in enumerate(order):
-        kids = [pos[c.name] for c in f.children]
-        for k, (i, c) in enumerate(zip(kids, f.children)):
-            parent[i] = p
-            if f.group is None:
-                rule[i] = _FORCED if c.kind == MANDATORY else _FREE
-            else:
-                rule[i] = _XOR if f.group == XOR else _FREE
-                last[i] = k == len(kids) - 1
-                earlier[i] = tuple(kids[:k])
-    end = [0] * n
-    for i in reversed(range(n)):
-        children = order[i].children
-        end[i] = end[pos[children[-1].name]] if children else i + 1
-
-    needs: list[list[int]] = [[] for _ in range(n)]
-    forbids: list[list[int]] = [[] for _ in range(n)]
-    skip_forbids: list[list[int]] = [[] for _ in range(n)]
-    for ct in fm.constraints:
-        lhs, rhs = pos[ct.lhs], pos[ct.rhs]
-        if ct.kind == EXCLUDES:
-            forbids[max(lhs, rhs)].append(min(lhs, rhs))
-        elif lhs > rhs:
-            needs[lhs].append(rhs)
-        else:
-            # rhs is dropped with any subtree holding it; a subtree rooted
-            # after lhs cannot hold lhs, which must then be unselected
-            i = rhs
-            while i > lhs:
-                skip_forbids[i].append(lhs)
-                i = parent[i]
-    return EnumerationPlan(
-        tuple(f.name for f in order), tuple(end), tuple(rule), tuple(last),
-        tuple(earlier), tuple(map(tuple, needs)), tuple(map(tuple, forbids)),
-        tuple(map(tuple, skip_forbids)))
-
-
 # ---------------------------------------------------------------------------
 # Closure
 # ---------------------------------------------------------------------------
@@ -433,29 +427,33 @@ def close_selection_traced(
         raise UnknownFeature(
             "seed names unknown features: " + ", ".join(sorted(unknown)))
 
+    index = fm.index
+    features, position, parent = index.features, index.position, index.parent
     steps: dict[str, ClosureStep] = {}
     for s in sorted(seeds):
         steps[s] = ClosureStep("seed")
-    if fm.root.name not in steps:
-        steps[fm.root.name] = ClosureStep("root")
+    steps.setdefault(fm.root.name, ClosureStep("root"))
 
-    changed = True
-    while changed:
-        changed = False
-        for name in sorted(steps):
-            parent = fm.parent_name[name]
-            if parent is not None and parent not in steps:
-                steps[parent] = ClosureStep("parent", name)
-                changed = True
-        for f in fm.iter_features():
-            if f.name in steps and f.group is None:
+    added = list(steps)
+    while added:
+        queue = added.copy()  # then every feature this pass adds
+        for name in sorted(added):
+            p = parent[position[name]]
+            if p >= 0 and features[p].name not in steps:
+                steps[features[p].name] = ClosureStep("parent", name)
+                queue.append(features[p].name)
+        # features from before the last pass already have their mandatory children
+        for name in queue:
+            f = features[position[name]]
+            if f.group is None:
                 for c in f.children:
                     if c.kind == MANDATORY and c.name not in steps:
-                        steps[c.name] = ClosureStep("mandatory", f.name)
-                        changed = True
-        for ct in fm.constraints:
-            if ct.kind == REQUIRES and ct.lhs in steps and ct.rhs not in steps:
-                steps[ct.rhs] = ClosureStep("requires", ct.lhs)
-                changed = True
+                        steps[c.name] = ClosureStep("mandatory", name)
+                        queue.append(c.name)
+        for lhs, rhs in index.requires:
+            if lhs in steps and rhs not in steps:
+                steps[rhs] = ClosureStep("requires", lhs)
+                queue.append(rhs)
+        added = queue[len(added):]
 
     return frozenset(steps), steps

@@ -157,11 +157,16 @@ class _Parser:
         self.ts.fail("(", "MAPPED_BY")
 
     def cardinality(self) -> Cardinality:
+        start = self.ts.current
         low = self.cardinality_bound("cardinality bound")
         self.ts.expect("..")
         if self.ts.match("*"):
             return Cardinality(low, None)
-        return Cardinality(low, self.cardinality_bound("cardinality bound", "*"))
+        high = self.cardinality_bound("cardinality bound", "*")
+        if low > high:
+            raise ParseError(f"cardinality {low}..{high} has its lower bound above its upper bound",
+                             start.line, start.column)
+        return Cardinality(low, high)
 
     def cardinality_bound(self, *expected: str) -> int:
         tok = self.ts.current

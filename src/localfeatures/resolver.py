@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal
 
-from .errors import DuplicateBinding, InvalidSelection, UnknownElement
+from .errors import InvalidSelection, UnknownElement
 from .features import Configuration, close_selection, validate_configuration
 from .multimodel import ModelEntity, Multimodel, ViewpointModel
 from .spldef import SplDefinition
@@ -364,10 +364,6 @@ class _Resolution:
 
         try:
             mm.bind_local(element, local_name, frozenset(known))
-        except DuplicateBinding:
-            self.error("duplicate-binding",
-                       f"{described} is bound more than once", clause.span)
-            return
         except InvalidSelection as exc:
             self.error("invalid-selection", str(exc), clause.span)
             return

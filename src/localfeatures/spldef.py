@@ -150,7 +150,11 @@ class _DefinitionParser:
         self.ts.expect("(")
         metaclasses = [self.ts.expect(IDENT).text]
         while self.ts.match(","):
-            metaclasses.append(self.ts.expect(IDENT).text)
+            metaclass = self.ts.expect(IDENT)
+            if metaclass.text in metaclasses:
+                raise ParseError(f"duplicate metaclass {metaclass.text!r}",
+                                 metaclass.line, metaclass.column)
+            metaclasses.append(metaclass.text)
         self.ts.expect(")")
         self.ts.expect(";")
         viewpoints[name.text] = tuple(metaclasses)

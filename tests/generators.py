@@ -5,7 +5,8 @@ product. Everything random is a pure function of the passed random.Random,
 so failures replay from the seed.
 
 Also the slow oracles the library's fast paths are checked against: the
-brute-force configuration enumerator and the character-at-a-time tokenizer."""
+brute-force configuration enumerator, the whole-model fixpoint closure and
+the character-at-a-time tokenizer."""
 
 import random
 from typing import Callable
@@ -18,6 +19,7 @@ from localfeatures.features import (
     OR,
     REQUIRES,
     XOR,
+    ClosureStep,
     Configuration,
     CrossTreeConstraint,
     Feature,
@@ -115,6 +117,44 @@ def _satisfies(fm: FeatureModel, sel: frozenset[str]) -> bool:
             if ct.lhs in sel and ct.rhs in sel:
                 return False
     return True
+
+
+def reference_close_selection_traced(
+        fm: FeatureModel,
+        seeds: Configuration | set[str]) -> tuple[Configuration, dict[str, ClosureStep]]:
+    """The closure of the seeds and, per feature, the rule credited with it,
+    by a fixpoint that re-sorts the whole selection and re-walks the whole
+    tree on every pass: parents in name order, then mandatory children in
+    preorder, then requires in declaration order. The slow oracle for
+    close_selection_traced, which must credit every feature the same way;
+    unknown seeds are the caller's problem here."""
+    parent_name = {c.name: f.name for f in fm.iter_features() for c in f.children}
+    steps: dict[str, ClosureStep] = {}
+    for s in sorted(seeds):
+        steps[s] = ClosureStep("seed")
+    if fm.root.name not in steps:
+        steps[fm.root.name] = ClosureStep("root")
+
+    changed = True
+    while changed:
+        changed = False
+        for name in sorted(steps):
+            parent = parent_name.get(name)
+            if parent is not None and parent not in steps:
+                steps[parent] = ClosureStep("parent", name)
+                changed = True
+        for f in fm.iter_features():
+            if f.name in steps and f.group is None:
+                for c in f.children:
+                    if c.kind == MANDATORY and c.name not in steps:
+                        steps[c.name] = ClosureStep("mandatory", f.name)
+                        changed = True
+        for ct in fm.constraints:
+            if ct.kind == REQUIRES and ct.lhs in steps and ct.rhs not in steps:
+                steps[ct.rhs] = ClosureStep("requires", ct.lhs)
+                changed = True
+
+    return frozenset(steps), steps
 
 
 _PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")

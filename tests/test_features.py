@@ -27,7 +27,11 @@ from localfeatures.errors import (
 )
 from localfeatures.features import MANDATORY, OPTIONAL, XOR
 
-from generators import brute_force_configurations, random_feature_model
+from generators import (
+    brute_force_configurations,
+    random_feature_model,
+    reference_close_selection_traced,
+)
 
 
 def gis_tree():
@@ -49,6 +53,15 @@ def gis_tree():
             optional("CSVImporter"),
             optional("UserManagement")),
         (requires("FormAccess", "Form"),))
+
+
+def parents(fm):
+    """Each feature's parent name (None for the root), read off the tree."""
+    found = {fm.root.name: None}
+    for f in fm.iter_features():
+        for c in f.children:
+            found[c.name] = f.name
+    return found
 
 
 def toy_model(constraints=()):
@@ -120,8 +133,8 @@ def test_model_lookup_helpers():
     assert "Clustering" in fm
     assert "Nope" not in fm
     assert fm.feature("Menu").group == XOR
-    assert fm.parent_name["FormAccess"] == "List"
-    assert fm.parent_name["GIS_SPL"] is None
+    assert parents(fm)["FormAccess"] == "List"
+    assert parents(fm)["GIS_SPL"] is None
     with pytest.raises(UnknownFeature):
         fm.feature("Nope")
 
@@ -297,10 +310,11 @@ def test_enumeration_agrees_with_rule_validator(seed):
 def test_enumerated_configurations_contain_root_and_are_parent_closed(seed):
     rng = random.Random(3000 + seed)
     fm = random_feature_model(rng, max_features=9)
+    parent_of = parents(fm)
     for cfg in enumerate_configurations(fm):
         assert fm.root.name in cfg
         for name in cfg:
-            parent = fm.parent_name[name]
+            parent = parent_of[name]
             assert parent is None or parent in cfg
 
 
@@ -309,12 +323,13 @@ def test_removing_a_free_optional_leaf_preserves_validity(seed):
     rng = random.Random(4000 + seed)
     fm = random_feature_model(rng, max_features=9)
     constrained = {c.lhs for c in fm.constraints} | {c.rhs for c in fm.constraints}
+    parent_of = parents(fm)
     for cfg in enumerate_configurations(fm):
         for name in cfg:
-            feature = fm.by_name[name]
-            parent = fm.parent_name[name]
+            feature = fm.feature(name)
+            parent = parent_of[name]
             if (feature.children or feature.kind != OPTIONAL or parent is None
-                    or name in constrained or fm.by_name[parent].group is not None):
+                    or name in constrained or fm.feature(parent).group is not None):
                 continue
             assert validate_configuration(fm, cfg - {name}).valid
 
@@ -372,3 +387,40 @@ def test_closure_is_monotone_and_idempotent(seed):
     closed = close_selection(fm, seeds)
     assert closed >= seeds | {fm.root.name}
     assert close_selection(fm, closed) == closed
+
+
+@pytest.mark.parametrize("constraints,credit", [
+    ((requires("B", "C"), requires("A", "B")), ("mandatory", "P")),
+    ((requires("A", "B"), requires("B", "C")), ("requires", "B")),
+])
+def test_pass_order_decides_which_rule_is_credited(constraints, credit):
+    # C is P's mandatory child and B's requirement. Declared after A requires
+    # B, B requires C fires in the pass that adds B; declared before it, C
+    # waits a pass, and the mandatory rule runs before the requires sweep.
+    fm = build_feature_model(
+        mandatory("R", optional("P", optional("B"), mandatory("C")), optional("A")),
+        constraints)
+    _, steps = close_selection_traced(fm, {"A"})
+    assert (steps["C"].cause, steps["C"].of) == credit
+
+
+def with_requires_chains(fm, rng):
+    """fm plus random requires chains over its non-root features, declared in
+    shuffled order, so that closing a selection takes several passes."""
+    names = sorted(fm.feature_names - {fm.root.name})
+    chains = []
+    for _ in range(rng.randint(1, 3)):
+        path = rng.sample(names, rng.randint(2, len(names)))
+        chains.extend(requires(a, b) for a, b in zip(path, path[1:]))
+    rng.shuffle(chains)
+    return build_feature_model(fm.root, fm.constraints + tuple(chains))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_closure_matches_the_reference_on_models_with_requires_chains(seed):
+    rng = random.Random(8000 + seed)
+    fm = with_requires_chains(random_feature_model(rng, max_features=16), rng)
+    names = sorted(fm.feature_names)
+    for _ in range(10):
+        seeds = frozenset(rng.sample(names, rng.randint(0, min(4, len(names)))))
+        assert close_selection_traced(fm, seeds) == reference_close_selection_traced(fm, seeds)

@@ -205,12 +205,17 @@ def test_relationship_needs_an_entity_type():
         parse("CREATE ENTITY E (h String RELATIONSHIP MAPPED_BY x);\nCREATE GIS X;")
 
 
-@pytest.mark.parametrize("cardinality", ["x..1", "1.5..2", "-1..1", "1..y"])
+# each malformed cardinality, and the column on line 2 its error is reported at
+MALFORMED_CARDINALITIES = {"x..1": 35, "1.5..2": 35, "-1..1": 35, "1..y": 38, "2..1": 35}
+
+
+@pytest.mark.parametrize("cardinality", MALFORMED_CARDINALITIES)
 def test_malformed_cardinalities_are_rejected(cardinality):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse("CREATE ENTITY E (id Long IDENTIFIER);\n"
               f"CREATE ENTITY F (e E RELATIONSHIP({cardinality}, 0..*));\n"
               "CREATE GIS X;")
+    assert (exc.value.line, exc.value.column) == (2, MALFORMED_CARDINALITIES[cardinality])
 
 
 @pytest.mark.parametrize("old, new, column", [

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from localfeatures import (
-    close_selection_traced,
     emit,
     explain,
     format_spec,
@@ -18,7 +17,7 @@ from localfeatures.errors import UnknownElement
 from localfeatures.resolver import Diagnostic, Provenance
 from localfeatures.spldef import parse_spl_definition
 
-from generators import definition_clauses, random_spec
+from generators import definition_clauses, random_spec, reference_close_selection_traced
 
 XOR_LOCAL_DEFINITION = """\
 VIEWPOINT data (Entity);
@@ -688,8 +687,9 @@ def test_definition_aware_specs_resolve_consistently(fixture, request):
         clauses = clauses_by_element(spec)
         for binding in mm.bindings:
             clause = clauses[binding.element]
-            _, trace = close_selection_traced(local_models[binding.local_model],
-                                              clause.names)
+            _, trace = reference_close_selection_traced(
+                local_models[binding.local_model], clause.names)
+            assert binding.trace == trace, seed
             expected = tuple(expected_row(f, trace[f], clause.span, "fuzz.gis")
                              for f in sorted(trace))
             assert explain(resolved, binding.element) == expected, seed

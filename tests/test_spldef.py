@@ -146,6 +146,14 @@ def test_duplicate_viewpoint_rejected():
             "FEATUREMODEL R {\n}\n")
 
 
+def test_duplicate_metaclass_rejected_at_the_second_name():
+    with pytest.raises(ParseError, match="duplicate metaclass 'Entity'") as exc:
+        parse_spl_definition(
+            "VIEWPOINT data (Entity, Entity);\n"
+            "FEATUREMODEL R {\n}\n")
+    assert (exc.value.line, exc.value.column) == (1, 25)
+
+
 def test_duplicate_feature_model_rejected():
     with pytest.raises(ParseError, match="duplicate feature model") as exc:
         parse_spl_definition("FEATUREMODEL R {\n}\nFEATUREMODEL R {\n}\n")
@@ -237,7 +245,8 @@ def test_features_nest_up_to_the_depth_limit_and_round_trip():
     definition = parse_spl_definition(nested_spl(MAX_FEATURE_DEPTH))
     model = definition.functional.global_model
     assert len(model.feature_names) == MAX_FEATURE_DEPTH + 1
-    assert model.parent_name[f"F{MAX_FEATURE_DEPTH}"] == f"F{MAX_FEATURE_DEPTH - 1}"
+    parent_of = {c.name: f.name for f in model.iter_features() for c in f.children}
+    assert parent_of[f"F{MAX_FEATURE_DEPTH}"] == f"F{MAX_FEATURE_DEPTH - 1}"
     text = format_spl(definition)
     assert parse_spl_definition(text) == definition
     assert format_spl(parse_spl_definition(text)) == text
