@@ -150,8 +150,7 @@ def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
     message = exc.message
     if exc.expected:
         message += f" (expected {', '.join(exc.expected)})"
-    # a ParseError knows its position but not its character offsets
-    span = Span(0, 0, exc.line, exc.column)
+    span = Span(exc.start, exc.end, exc.line, exc.column)
     print_diagnostics((Diagnostic("error", "syntax", message, span, path),), fmt)
     return 1
 

@@ -88,15 +88,23 @@ class NotApplicable(MultimodelError):
 # ---------------------------------------------------------------------------
 
 class ParseError(LocalFeaturesError):
-    """A syntax error with a source position and the token kinds expected there."""
+    """A syntax error with a source position, the token kinds expected there,
+    and the half-open character range [start, end) of the text it blames."""
 
     def __init__(self, message: str, line: int, column: int,
-                 expected: tuple[str, ...] = ()):
+                 expected: tuple[str, ...] = (), start: int = 0, end: int = 0):
         super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
         self.expected = tuple(expected)
+        self.start = start
+        self.end = end
+
+    @classmethod
+    def at(cls, message: str, where, expected: tuple[str, ...] = ()) -> ParseError:
+        """The error blaming where, a Span or a lexer Token."""
+        return cls(message, where.line, where.column, expected, where.start, where.end)
 
     def __str__(self) -> str:
         pos = f"{self.line}:{self.column}"

@@ -41,8 +41,6 @@ XOR: Literal["xor"] = "xor"
 OR: Literal["or"] = "or"
 REQUIRES: Literal["requires"] = "requires"
 EXCLUDES: Literal["excludes"] = "excludes"
-GLOBAL: Literal["global"] = "global"
-LOCAL: Literal["local"] = "local"
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -100,7 +98,6 @@ class FeatureModel:
 
     root: Feature
     constraints: tuple[CrossTreeConstraint, ...] = ()
-    model_kind: Literal["global", "local"] = GLOBAL
     name: str = ""
 
     @cached_property
@@ -175,7 +172,6 @@ class FeatureModel:
 
 def build_feature_model(root: Feature,
                         constraints: tuple[CrossTreeConstraint, ...] | list[CrossTreeConstraint] = (),
-                        model_kind: Literal["global", "local"] = GLOBAL,
                         name: str = "") -> FeatureModel:
     """Validate a feature tree and constraints into a FeatureModel.
 
@@ -209,7 +205,7 @@ def build_feature_model(root: Feature,
                 raise DanglingConstraintEndpoint(
                     f"constraint endpoint {endpoint!r} is not a feature of the model")
 
-    return FeatureModel(root, constraints, model_kind, name or root.name)
+    return FeatureModel(root, constraints, name or root.name)
 
 
 def _normalize(f: Feature, *, is_root: bool = False, in_group: bool = False) -> Feature:

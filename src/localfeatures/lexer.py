@@ -9,17 +9,19 @@ comments, then takes one token (or a character no token starts with, or the
 end of input). iter_tokens yields the tokens lazily, so TokenStream keeps only
 the token under the cursor alive rather than the whole list. Because of that
 the parser can reach a syntax error before the lexer has seen a bad character
-further on; to keep the rule that a bad character anywhere in the source is
-the error reported, TokenStream first runs a single-pass pre-scan for the
-first such character and raises it as tokenize() would.
+further on. TokenStream.run keeps the rule that a bad character anywhere in
+the source is the error reported: when a parse fails, it lexes the rest of
+the source, so a later bad character raises in place of the parser's error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from collections import deque
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ParseError
+from .syntax import Span
 
 IDENT = "IDENT"
 NUMBER = "NUMBER"
@@ -44,19 +46,13 @@ DEFINITION_KEYWORDS = frozenset({
 # alternative ends the input with a match of its own; without it a trailing
 # comment would make finditer retry one character later and see a lone "/".
 # The possessive quantifiers (Python 3.11+) keep the engine from saving
-# backtracking state it never needs: with plain greedy ones the pre-scan
-# below takes about 4x the time and 70 MB more on a 1.8 MB source.
+# backtracking state it never needs; with plain greedy ones finditer takes
+# about 10% longer over a 1.8 MB source.
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|//[^\n]*)*+"
     r"(?:([A-Za-z][A-Za-z0-9_]*+)|(-?[0-9]++(?:\.[0-9]++)?+)"
     r"|(\.\.|[()\[\]{},;.*])|(.)|\Z)")
 _WORD, _NUMBER, _PUNCT = 1, 2, 3
-
-# Consumes everything the lexer accepts and captures the first character it
-# would reject. "_" is not in the character class: it may continue a word
-# but cannot start a token.
-_FIRST_BAD = re.compile(
-    r"(?:[A-Za-z][A-Za-z0-9_]*+|[0-9 \t\r\n()\[\]{},;.*]++|//[^\n]*+|-(?=[0-9]))*+(.)?")
 
 
 class Token(NamedTuple):
@@ -66,6 +62,12 @@ class Token(NamedTuple):
     column: int
     offset: int
     end: int
+
+    @property
+    def start(self) -> int:
+        """The offset under the name a Span gives it, so that
+        ParseError.at can blame a token or a span alike."""
+        return self.offset
 
 
 def iter_tokens(source: str, keywords: frozenset[str]) -> Iterator[Token]:
@@ -96,7 +98,8 @@ def iter_tokens(source: str, keywords: frozenset[str]) -> Iterator[Token]:
         elif group == _PUNCT:
             kind = text
         else:
-            raise ParseError(f"unexpected character {text!r}", line, pos - line_start + 1)
+            raise ParseError.at(f"unexpected character {text!r}",
+                                Span(pos, last, line, pos - line_start + 1))
         yield new(Token, (kind, text, line, pos - line_start + 1, pos, last))
 
 
@@ -106,18 +109,20 @@ def tokenize(source: str, keywords: frozenset[str]) -> list[Token]:
 
 class TokenStream:
     """Cursor over the tokens of a source, with positioned errors on
-    mismatch. Raises the lexer's error for the first bad character up front,
-    before any token is parsed."""
+    mismatch."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
-        bad = _FIRST_BAD.match(source)
-        if bad.group(1) is not None:
-            pos = bad.start(1)
-            line_start = source.rfind("\n", 0, pos) + 1
-            raise ParseError(f"unexpected character {bad.group(1)!r}",
-                             source.count("\n", 0, pos) + 1, pos - line_start + 1)
         self._tokens = iter_tokens(source, keywords)
         self.current = next(self._tokens)
+
+    def run(self, parse: Callable, *args):
+        """parse(*args), except that a bad character anywhere after the
+        cursor beats the ParseError it raises."""
+        try:
+            return parse(*args)
+        except ParseError:
+            deque(self._tokens, maxlen=0)  # raises at the next bad character
+            raise
 
     def at(self, *kinds: str) -> bool:
         return self.current.kind in kinds
@@ -142,5 +147,4 @@ class TokenStream:
     def fail(self, *expected: str) -> Token:
         tok = self.current
         shown = tok.kind if tok.kind == EOF else f"{tok.text!r}"
-        raise ParseError(f"unexpected {shown}", tok.line, tok.column,
-                         expected=tuple(expected))
+        raise ParseError.at(f"unexpected {shown}", tok, expected)

@@ -42,48 +42,51 @@ _LAYER_REF_FLAGS = (FLAG_IS_BASE_LAYER, FLAG_DEFAULT_BASE_LAYER)
 def parse(source: str, filename: str = "<spec>") -> ProductSpec:
     """Parse a complete product specification."""
     parser = _Parser(source)
-    entities: list[EntityDecl] = []
-    layers: list[LayerDecl] = []
-    maps: list[MapDecl] = []
-    product: ProductDecl | None = None
-
-    while not parser.ts.at(EOF):
-        decl = parser.statement()
-        if isinstance(decl, EntityDecl):
-            entities.append(decl)
-        elif isinstance(decl, LayerDecl):
-            layers.append(decl)
-        elif isinstance(decl, MapDecl):
-            maps.append(decl)
-        else:
-            if product is not None:
-                raise MultipleProducts(
-                    "specification declares more than one product",
-                    decl.span.line, decl.span.column)
-            product = decl
-
-    if product is None:
-        raise MissingProduct()
-    return ProductSpec(tuple(entities), tuple(layers), tuple(maps), product,
-                       source_name=filename)
+    return parser.ts.run(parser.spec, filename)
 
 
 def parse_statement(source: str):
     """Parse exactly one declaration; used to check statement spans re-parse."""
     parser = _Parser(source)
-    decl = parser.statement()
-    if not parser.ts.at(EOF):
-        parser.ts.fail(EOF)
-    return decl
+    return parser.ts.run(parser.lone_statement)
 
 
 class _Parser:
 
     def __init__(self, source: str):
-        self.source = source
         self.ts = TokenStream(source, SPEC_KEYWORDS)
 
     # -- statements ---------------------------------------------------------
+
+    def spec(self, filename: str) -> ProductSpec:
+        entities: list[EntityDecl] = []
+        layers: list[LayerDecl] = []
+        maps: list[MapDecl] = []
+        product: ProductDecl | None = None
+
+        while not self.ts.at(EOF):
+            decl = self.statement()
+            if isinstance(decl, EntityDecl):
+                entities.append(decl)
+            elif isinstance(decl, LayerDecl):
+                layers.append(decl)
+            elif isinstance(decl, MapDecl):
+                maps.append(decl)
+            else:
+                if product is not None:
+                    raise MultipleProducts.at(
+                        "specification declares more than one product", decl.span)
+                product = decl
+
+        if product is None:
+            raise MissingProduct()
+        return ProductSpec(tuple(entities), tuple(layers), tuple(maps), product,
+                           source_name=filename)
+
+    def lone_statement(self):
+        decl = self.statement()
+        self.ts.expect(EOF)
+        return decl
 
     def statement(self):
         start = self.ts.expect("CREATE")
@@ -111,34 +114,26 @@ class _Parser:
         for flag in (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING):
             carriers = [p for p in properties if flag in p.flags]
             if len(carriers) > 1:
-                offender = carriers[1]
-                raise DuplicateFlag(
+                raise DuplicateFlag.at(
                     f"entity {name.text!r} flags more than one property {flag}",
-                    offender.span.line, offender.span.column)
+                    carriers[1].span)
         return EntityDecl(name.text, tuple(properties), features,
-                          self.span(start, end))
+                          Span.covering(start, end))
 
     def property_decl(self) -> PropertyDecl:
         name = self.ts.expect(IDENT)
         type_name = self.ts.expect(IDENT)
-        last = type_name
-        flags: list[str] = []
-        while self.ts.at(*_PROPERTY_FLAGS):
-            tok = self.ts.advance()
-            if tok.kind in flags:
-                raise DuplicateFlag(f"duplicate flag {tok.kind}", tok.line, tok.column)
-            flags.append(tok.kind)
-            last = tok
+        flags, last = self.flags(_PROPERTY_FLAGS, type_name)
         relationship = None
         if self.ts.at("RELATIONSHIP"):
             rel_tok = self.ts.advance()
             if type_name.text in BUILTIN_TYPES:
-                raise ParseError(
+                raise ParseError.at(
                     f"RELATIONSHIP is not allowed on built-in type {type_name.text!r}",
-                    rel_tok.line, rel_tok.column)
+                    rel_tok)
             relationship, last = self.relationship_spec()
-        return PropertyDecl(name.text, type_name.text, tuple(flags), relationship,
-                            Span(name.offset, last.end, name.line, name.column))
+        return PropertyDecl(name.text, type_name.text, flags, relationship,
+                            Span.covering(name, last))
 
     def relationship_spec(self) -> tuple[RelationshipSpec, Token]:
         if self.ts.match("("):
@@ -164,8 +159,8 @@ class _Parser:
             return Cardinality(low, None)
         high = self.cardinality_bound("cardinality bound", "*")
         if low > high:
-            raise ParseError(f"cardinality {low}..{high} has its lower bound above its upper bound",
-                             start.line, start.column)
+            raise ParseError.at(
+                f"cardinality {low}..{high} has its lower bound above its upper bound", start)
         return Cardinality(low, high)
 
     def cardinality_bound(self, *expected: str) -> int:
@@ -176,8 +171,7 @@ class _Parser:
         try:
             return int(tok.text)
         except ValueError:  # more digits than int() converts
-            raise ParseError("cardinality bound out of range",
-                             tok.line, tok.column) from None
+            raise ParseError.at("cardinality bound out of range", tok) from None
 
     def layer_decl(self, start: Token) -> LayerDecl:
         source_kind = self.ts.expect(IDENT)
@@ -196,12 +190,11 @@ class _Parser:
         close = self.ts.expect(")")
         defaults = [s for s in styles if s.is_default]
         if len(defaults) > 1:
-            raise DuplicateFlag(
-                f"layer {name.text!r} marks more than one style DEFAULT",
-                close.line, close.column)
+            raise DuplicateFlag.at(
+                f"layer {name.text!r} marks more than one style DEFAULT", close)
         end = self.ts.expect(";")
         return LayerDecl(name.text, display, entity.text, source_kind.text,
-                         tuple(styles), self.span(start, end))
+                         tuple(styles), Span.covering(start, end))
 
     def style_ref(self) -> StyleRef:
         name = self.ts.expect(IDENT)
@@ -225,17 +218,15 @@ class _Parser:
         features: FeatureClause | None = None
         while True:
             if self.ts.at(","):
-                mark = self.ts.advance()
+                self.ts.advance()
                 self.ts.expect("WITH")
                 tok = self.ts.expect("CENTER")
                 if center is not None:
-                    raise ParseError("map declares CENTER twice", tok.line, tok.column)
+                    raise ParseError.at("map declares CENTER twice", tok)
                 center = self.bounding_box()
             elif self.ts.at("WITH"):
-                tok = self.ts.current
                 if features is not None:
-                    raise DuplicateFlag("map declares WITH FEATURES twice",
-                                        tok.line, tok.column)
+                    raise DuplicateFlag.at("map declares WITH FEATURES twice", self.ts.current)
                 features = self.feature_clause()
             else:
                 break
@@ -243,43 +234,43 @@ class _Parser:
 
         base = [r for r in refs if FLAG_IS_BASE_LAYER in r.flags]
         if not base:
-            raise ParseError(f"map {name.text!r} flags no layer IS_BASE_LAYER",
-                             close.line, close.column)
+            raise ParseError.at(f"map {name.text!r} flags no layer IS_BASE_LAYER", close)
         if len(base) > 1:
-            extra = base[1]
-            raise ParseError(
-                f"map {name.text!r} flags more than one layer IS_BASE_LAYER",
-                extra.span.line, extra.span.column)
+            raise ParseError.at(
+                f"map {name.text!r} flags more than one layer IS_BASE_LAYER", base[1].span)
         return MapDecl(name.text, display, tuple(refs), center, features,
-                       self.span(start, end))
+                       Span.covering(start, end))
 
     def layer_ref(self) -> LayerRef:
         name = self.ts.expect(IDENT)
-        last = name
-        flags: list[str] = []
-        while self.ts.at(*_LAYER_REF_FLAGS):
-            tok = self.ts.advance()
-            if tok.kind in flags:
-                raise DuplicateFlag(f"duplicate flag {tok.kind}", tok.line, tok.column)
-            flags.append(tok.kind)
-            last = tok
+        flags, last = self.flags(_LAYER_REF_FLAGS, name)
         if FLAG_DEFAULT_BASE_LAYER in flags and FLAG_IS_BASE_LAYER not in flags:
-            raise ParseError(
+            raise ParseError.at(
                 f"layer reference {name.text!r} is DEFAULT_BASE_LAYER but not IS_BASE_LAYER",
-                name.line, name.column)
+                name)
         features = self.feature_clause()
-        span_end = features.span.end if features is not None else last.end
-        return LayerRef(name.text, tuple(flags), features,
-                        Span(name.offset, span_end, name.line, name.column))
+        return LayerRef(name.text, flags, features,
+                        Span.covering(name, last if features is None else features.span))
 
     def product_decl(self, start: Token) -> ProductDecl:
         self.ts.expect("GIS")
         name = self.ts.expect(IDENT)
         features = self.feature_clause()
         end = self.ts.expect(";")
-        return ProductDecl(name.text, features, self.span(start, end))
+        return ProductDecl(name.text, features, Span.covering(start, end))
 
     # -- shared pieces ------------------------------------------------------
+
+    def flags(self, allowed: tuple[str, ...], last: Token) -> tuple[tuple[str, ...], Token]:
+        """The flags among allowed that come next, each at most once, and the
+        last token read (last itself when there are none)."""
+        flags: list[str] = []
+        while self.ts.at(*allowed):
+            last = self.ts.advance()
+            if last.kind in flags:
+                raise DuplicateFlag.at(f"duplicate flag {last.kind}", last)
+            flags.append(last.kind)
+        return tuple(flags), last
 
     def feature_clause(self) -> FeatureClause | None:
         if not self.ts.at("WITH"):
@@ -293,7 +284,7 @@ class _Parser:
             while self.ts.match(","):
                 names.append(self.ts.expect(IDENT).text)
         end = self.ts.expect(")")
-        return FeatureClause(tuple(names), self.span(start, end))
+        return FeatureClause(tuple(names), Span.covering(start, end))
 
     def display_name(self) -> str:
         words: list[str] = []
@@ -323,8 +314,5 @@ class _Parser:
         tok = self.ts.expect(NUMBER)
         value = float(tok.text)
         if not isfinite(value):  # JSON has no Infinity to emit it as
-            raise ParseError("coordinate out of range", tok.line, tok.column)
+            raise ParseError.at("coordinate out of range", tok)
         return value
-
-    def span(self, start: Token, end: Token) -> Span:
-        return Span(start.offset, end.end, start.line, start.column)

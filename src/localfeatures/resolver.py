@@ -201,7 +201,13 @@ class _Resolution:
         self.entities = entities
 
         for decl in spec.entities:
+            seen_properties: set[str] = set()
             for prop in decl.properties:
+                if prop.name in seen_properties:
+                    self.error("duplicate-property",
+                               f"entity {decl.name!r} declares property {prop.name!r} twice",
+                               prop.span)
+                seen_properties.add(prop.name)
                 rel = prop.relationship
                 if rel is None:
                     if prop.type_name not in BUILTIN_TYPES and prop.type_name not in entities:

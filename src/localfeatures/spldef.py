@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 from .features import (
     EXCLUDES,
-    GLOBAL,
-    LOCAL,
     MANDATORY,
     OPTIONAL,
     OR,
@@ -68,7 +66,8 @@ class SplDefinition:
 
 
 def parse_spl_definition(source: str, filename: str = "<definition>") -> SplDefinition:
-    return _DefinitionParser(source).parse(filename)
+    parser = _DefinitionParser(source)
+    return parser.ts.run(parser.parse, filename)
 
 
 class _DefinitionParser:
@@ -92,9 +91,7 @@ class _DefinitionParser:
                 local_lines.append(self.local_decl())
             elif self.ts.at("DEFAULTS"):
                 if defaults is not None:
-                    tok = self.ts.current
-                    raise ParseError("definition declares DEFAULTS twice",
-                                     tok.line, tok.column)
+                    raise ParseError.at("definition declares DEFAULTS twice", self.ts.current)
                 defaults, defaults_span = self.defaults_decl()
             else:
                 self.ts.fail("VIEWPOINT", "FEATUREMODEL", "LOCAL", "DEFAULTS")
@@ -102,17 +99,18 @@ class _DefinitionParser:
         applied: list[AppliedToDeclaration] = []
         for root, viewpoint, metaclass in local_lines:
             if root.text not in trees:
-                raise ParseError(f"LOCAL references undeclared feature model {root.text!r}",
-                                 root.line, root.column)
+                raise ParseError.at(
+                    f"LOCAL references undeclared feature model {root.text!r}", root)
             if viewpoint.text not in viewpoints:
-                raise ParseError(f"no viewpoint named {viewpoint.text!r}",
-                                 viewpoint.line, viewpoint.column)
+                raise ParseError.at(f"no viewpoint named {viewpoint.text!r}", viewpoint)
             if metaclass.text not in viewpoints[viewpoint.text]:
-                raise ParseError(f"viewpoint {viewpoint.text!r} declares no metaclass "
-                                 f"{metaclass.text!r}", metaclass.line, metaclass.column)
+                raise ParseError.at(f"viewpoint {viewpoint.text!r} declares no metaclass "
+                                    f"{metaclass.text!r}", metaclass)
             decl = AppliedToDeclaration(root.text, viewpoint.text, metaclass.text)
-            if decl not in applied:
-                applied.append(decl)
+            if decl in applied:
+                raise ParseError.at(f"duplicate LOCAL {root.text} APPLIED TO "
+                                    f"{viewpoint.text}.{metaclass.text}", root)
+            applied.append(decl)
         local_names = {d.local_model for d in applied}
 
         global_names = [n for n in trees if n not in local_names]
@@ -123,18 +121,16 @@ class _DefinitionParser:
                 f"(the global model); candidates: {shown}", 1, 1)
         global_name = global_names[0]
 
-        global_model = build_feature_model(*trees[global_name],
-                                           model_kind=GLOBAL, name=global_name)
-        locals_ = {name: build_feature_model(*trees[name], model_kind=LOCAL, name=name)
+        global_model = build_feature_model(*trees[global_name], name=global_name)
+        locals_ = {name: build_feature_model(*trees[name], name=name)
                    for name in trees if name in local_names}
         functional = FunctionalModel(global_model, locals_)
 
         defaults = defaults or ()
         unknown = set(defaults) - global_model.feature_names
         if unknown:
-            raise ParseError("DEFAULTS names features missing from the global model: "
-                             + ", ".join(sorted(unknown)),
-                             defaults_span.line, defaults_span.column)
+            raise ParseError.at("DEFAULTS names features missing from the global model: "
+                                + ", ".join(sorted(unknown)), defaults_span)
 
         return SplDefinition(functional, viewpoints, tuple(applied), defaults,
                              source_name=filename, defaults_span=defaults_span)
@@ -145,15 +141,13 @@ class _DefinitionParser:
         self.ts.expect("VIEWPOINT")
         name = self.ts.expect(IDENT)
         if name.text in viewpoints:
-            raise ParseError(f"duplicate viewpoint {name.text!r}",
-                             name.line, name.column)
+            raise ParseError.at(f"duplicate viewpoint {name.text!r}", name)
         self.ts.expect("(")
         metaclasses = [self.ts.expect(IDENT).text]
         while self.ts.match(","):
             metaclass = self.ts.expect(IDENT)
             if metaclass.text in metaclasses:
-                raise ParseError(f"duplicate metaclass {metaclass.text!r}",
-                                 metaclass.line, metaclass.column)
+                raise ParseError.at(f"duplicate metaclass {metaclass.text!r}", metaclass)
             metaclasses.append(metaclass.text)
         self.ts.expect(")")
         self.ts.expect(";")
@@ -163,8 +157,7 @@ class _DefinitionParser:
         self.ts.expect("FEATUREMODEL")
         name = self.ts.expect(IDENT)
         if name.text in trees:
-            raise ParseError(f"duplicate feature model {name.text!r}",
-                             name.line, name.column)
+            raise ParseError.at(f"duplicate feature model {name.text!r}", name)
         group = self.group_marker()
         self.ts.expect("{")
         children: list[Feature] = []
@@ -187,9 +180,8 @@ class _DefinitionParser:
 
     def feature_node(self, kinded: bool, depth: int = 1) -> Feature:
         if depth > MAX_FEATURE_DEPTH:
-            tok = self.ts.current
-            raise ParseError(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
-                             tok.line, tok.column)
+            raise ParseError.at(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
+                                self.ts.current)
         if kinded:
             kind = MANDATORY if self.ts.expect("MANDATORY", "OPTIONAL").kind == "MANDATORY" \
                 else OPTIONAL
@@ -251,7 +243,7 @@ class _DefinitionParser:
                 names.append(self.ts.expect(IDENT).text)
         self.ts.expect(")")
         end = self.ts.expect(";")
-        return tuple(names), Span(start.offset, end.end, start.line, start.column)
+        return tuple(names), Span.covering(start, end)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,13 @@ from localfeatures.errors import (
     UnknownLocalModel,
     UnknownMetaclass,
 )
-from localfeatures.features import LOCAL, XOR
+from localfeatures.features import XOR
 from localfeatures.multimodel import ModelEntity, ViewpointModel
 from localfeatures.spldef import parse_spl_definition
 
 
 def local_twin(tree, constraints=()):
-    return build_feature_model(tree, constraints, model_kind=LOCAL, name=tree.name)
+    return build_feature_model(tree, constraints, name=tree.name)
 
 
 def viewpoints():

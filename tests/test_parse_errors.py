@@ -1,0 +1,98 @@
+"""Every ParseError carries the character offsets of the text it blames: the
+slice source[start:end] is that text, and (line, column) is the position of
+start."""
+
+import ast
+import random
+import re
+
+import pytest
+
+from localfeatures import parse, parse_spl_definition
+from localfeatures.errors import LocalFeaturesError, ParseError
+
+from conftest import packaged
+from generators import random_token_soup
+
+PARSERS = pytest.mark.parametrize(
+    "call", [parse, parse_spl_definition], ids=["spec", "definition"])
+_UNEXPECTED = re.compile(r"unexpected (?:character )?('.*'|\".*\")")
+
+
+def position(source, offset):
+    """The 1-based line and column of a character offset."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+def raised(call, source):
+    with pytest.raises(ParseError) as exc:
+        call(source)
+    return exc.value
+
+
+def check_offsets(error, source):
+    """The offsets agree with the position, and slice out what the message
+    blames: the unexpected token or character, nothing at end of input, and
+    whole tokens otherwise (or nothing, for an error that blames no token)."""
+    assert 0 <= error.start <= error.end <= len(source)
+    assert position(source, error.start) == (error.line, error.column)
+    blamed = source[error.start:error.end]
+    if error.message == "unexpected end of input":
+        assert blamed == "" and source[error.start:].strip() == ""
+    elif m := _UNEXPECTED.fullmatch(error.message):
+        assert blamed == ast.literal_eval(m.group(1))
+    elif blamed:
+        assert blamed == blamed.strip()
+    else:
+        assert error.start == 0
+
+
+@PARSERS
+def test_token_soup_errors_slice_what_they_blame(call):
+    rng = random.Random(91)
+    for _ in range(3000):
+        soup = random_token_soup(rng)
+        check_offsets(raised(call, soup), soup)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("webeiel.gis", parse),
+    ("gis.spl", parse_spl_definition),
+])
+def test_mutated_sources_slice_what_they_blame(name, call):
+    original = packaged(name)
+    rng = random.Random(name)
+    for _ in range(500):
+        pos = rng.randrange(len(original) + 1)
+        source = original[:pos] + rng.choice('@#_";(),') + original[pos + rng.randint(0, 1):]
+        try:
+            call(source)
+        except ParseError as error:
+            check_offsets(error, source)
+        except LocalFeaturesError:
+            pass  # a feature model or twin error, which has no position
+
+
+@pytest.mark.parametrize("source, call, blamed", [
+    ('CREATE FOO;\n"', parse, '"'),
+    ("CREATE GIS x;\n_y", parse, "_"),
+    ("FEATUREMODEL { }\n// fine\n  @", parse_spl_definition, "@"),
+    ("CREATE GIS X WITH FEATURES (A", parse, ""),
+    ("CREATE ENTITY E (a Long IDENTIFIER, b Long IDENTIFIER);\nCREATE GIS X;",
+     parse, "b Long IDENTIFIER"),
+    ("CREATE ENTITY E (a Long REQUIRED REQUIRED);", parse, "REQUIRED"),
+    ("CREATE ENTITY E (r X RELATIONSHIP (2..1, 0..*));", parse, "2"),
+    ("CREATE MAP m AS M WITH LAYERS (a IS_BASE_LAYER, b IS_BASE_LAYER WITH FEATURES (F));",
+     parse, "b IS_BASE_LAYER WITH FEATURES (F)"),
+    ("CREATE GIS X;\n  CREATE GIS Y WITH FEATURES ();", parse,
+     "CREATE GIS Y WITH FEATURES ();"),
+    ("CREATE ENTITY E (a Long);", parse, ""),
+    ("FEATUREMODEL R {\n}\nDEFAULTS (A, B);", parse_spl_definition, "DEFAULTS (A, B);"),
+    ("FEATUREMODEL R {\n}\nLOCAL W APPLIED TO data.Entity;", parse_spl_definition, "W"),
+    ("FEATUREMODEL R {\n}\nFEATUREMODEL S {\n}\n", parse_spl_definition, ""),
+])
+def test_each_error_slices_what_it_blames(source, call, blamed):
+    error = raised(call, source)
+    check_offsets(error, source)
+    assert source[error.start:error.end] == blamed

@@ -231,6 +231,14 @@ def test_duplicate_style_is_reported(gis_definition):
     assert codes(resolved) == [("error", "duplicate-style")]
 
 
+def test_duplicate_property_is_reported(gis_definition):
+    source = "CREATE ENTITY E (id Long IDENTIFIER, id String);\nCREATE GIS X;"
+    resolved = resolve_text(source, gis_definition)
+    assert codes(resolved) == [("error", "duplicate-property")]
+    [diagnostic] = resolved.diagnostics
+    assert diagnostic.span.slice(source) == "id String"
+
+
 def test_undeclared_layer_reference_is_reported(gis_definition):
     source = ("CREATE MAP m AS M WITH LAYERS (b IS_BASE_LAYER, ghost);\n"
               "CREATE GIS X;")

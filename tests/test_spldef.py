@@ -7,7 +7,7 @@ from localfeatures.errors import (
     ParseError,
     TwinMismatch,
 )
-from localfeatures.features import GLOBAL, LOCAL, OR, XOR
+from localfeatures.features import OR, XOR
 from localfeatures.multimodel import AppliedToDeclaration
 from localfeatures.spldef import MAX_FEATURE_DEPTH, format_spl, parse_spl_definition
 
@@ -50,7 +50,6 @@ def test_gis_definition_structure(gis_definition):
         "visualization": ("Map", "Layer", "LayerInMap"),
     }
     assert gis_definition.functional.global_model.name == "GIS_SPL"
-    assert gis_definition.functional.global_model.model_kind == GLOBAL
     assert set(gis_definition.functional.locals) == {
         "EntityFeature", "MapFeature", "LayerFeature"}
     assert gis_definition.applied_to == (
@@ -64,7 +63,7 @@ def test_gis_definition_structure(gis_definition):
 
 def test_gis_locals_are_marked_local_and_carry_their_constraints(gis_definition):
     entity = gis_definition.functional.locals["EntityFeature"]
-    assert entity.model_kind == LOCAL
+    assert entity.name == "EntityFeature"
     assert [(c.kind, c.lhs, c.rhs) for c in entity.constraints] == [
         ("requires", "FormAccess", "Form")]
     assert gis_definition.functional.locals["MapFeature"].constraints == ()
@@ -160,6 +159,14 @@ def test_duplicate_feature_model_rejected():
     assert exc.value.line == 3
 
 
+def test_repeated_local_line_rejected(gis_spl_source):
+    first_local = next(line for line in gis_spl_source.splitlines()
+                       if line.startswith("LOCAL "))
+    with pytest.raises(ParseError, match="duplicate LOCAL EntityFeature") as exc:
+        parse_spl_definition(gis_spl_source + first_local + "\n")
+    assert (exc.value.line, exc.value.column) == (67, 7)
+
+
 def test_duplicate_defaults_rejected():
     with pytest.raises(ParseError, match="DEFAULTS twice"):
         parse_spl_definition("FEATUREMODEL R {\n}\nDEFAULTS ();\nDEFAULTS ();\n")
@@ -191,15 +198,6 @@ def test_constraint_endpoints_must_exist():
     with pytest.raises(DanglingConstraintEndpoint):
         parse_spl_definition(
             "FEATUREMODEL R {\n    OPTIONAL A\n    REQUIRES A Nope\n}\n")
-
-
-def test_repeated_local_declarations_are_deduplicated():
-    source = MINIMAL.replace(
-        "LOCAL Widget APPLIED TO data.Entity;",
-        "LOCAL Widget APPLIED TO data.Entity;\nLOCAL Widget APPLIED TO data.Entity;")
-    definition = parse_spl_definition(source)
-    assert definition.applied_to == (
-        AppliedToDeclaration("Widget", "data", "Entity"),)
 
 
 def test_local_copy_must_mirror_the_global_subtree():
