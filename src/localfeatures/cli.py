@@ -179,7 +179,7 @@ def _load_definition(text: str, path: str, fmt: str) -> SplDefinition | int:
     except ParseError as exc:
         return _parse_failure(exc, path, fmt)
     except LocalFeaturesError as exc:
-        print_diagnostics((Diagnostic("error", "definition", str(exc), None, path),), fmt)
+        print_diagnostics((Diagnostic("error", "definition", str(exc), exc.span, path),), fmt)
         return 1
 
 

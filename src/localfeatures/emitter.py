@@ -6,6 +6,12 @@ sorted at every level, arrays in declaration order except feature lists
 same resolved product are byte-identical. Emission refuses while any
 error-severity diagnostic is present.
 
+The text is exactly what json.dumps(config, ensure_ascii=False, indent=2,
+sort_keys=True) writes, plus a final newline. json.dumps takes its pure-Python
+encoder whenever it indents, so emit() writes the document itself: a
+recursive writer that quotes strings with the C json.encoder.encode_basestring
+and joins each container once.
+
 verify_schema() checks a JSON text against the closed derivation-config
 schema shipped with the package. It needs no third-party validator: on
 first use, schemacheck.compile_schema() turns the schema into nested
@@ -17,6 +23,8 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
+from json.encoder import encode_basestring
+from math import isfinite
 from typing import Callable
 
 from .errors import UnresolvedErrors
@@ -33,8 +41,46 @@ def emit(resolved: ResolvedProduct) -> str:
         raise UnresolvedErrors(
             f"cannot emit: {len(errors)} error diagnostics pending, first: "
             f"{errors[0].message}")
-    config = derivation_config(resolved)
-    return json.dumps(config, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return _json(derivation_config(resolved), "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """value as JSON, laid out as json.dumps(value, ensure_ascii=False,
+    indent=2, sort_keys=True) lays it out; newline is a line break plus the
+    indent of the line value starts on. Objects need str keys. Raises
+    TypeError for a value json.dumps cannot serialize and ValueError for a
+    float that is not finite."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring(key)}: {_json(item, inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json(item, inner) for item in value])
+                + newline + "]")
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"{value!r} is not JSON")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def derivation_config(resolved: ResolvedProduct) -> dict:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class LocalFeaturesError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. A parser that
+    raises an error found while building what it read sets span to the
+    source range that error is about."""
+
+    span = None
 
 
 # ---------------------------------------------------------------------------
@@ -12,7 +16,14 @@ class LocalFeaturesError(Exception):
 # ---------------------------------------------------------------------------
 
 class FeatureModelError(LocalFeaturesError):
-    """A feature model declaration or query is ill-formed."""
+    """A feature model declaration or query is ill-formed. feature and
+    constraint name the feature and the cross-tree constraint it is about,
+    when there are such."""
+
+    def __init__(self, message: str, feature: str | None = None, constraint=None):
+        super().__init__(message)
+        self.feature = feature
+        self.constraint = constraint
 
 
 class InvalidFeatureName(FeatureModelError):
@@ -52,7 +63,12 @@ class MultimodelError(LocalFeaturesError):
 
 
 class TwinMismatch(MultimodelError):
-    """A local feature model and its global copy are not structurally identical."""
+    """A local feature model and its global copy are not structurally
+    identical; model is the local model's name."""
+
+    def __init__(self, message: str, model: str):
+        super().__init__(message)
+        self.model = model
 
 
 class UnknownLocalModel(MultimodelError):
@@ -103,7 +119,7 @@ class ParseError(LocalFeaturesError):
 
     @classmethod
     def at(cls, message: str, where, expected: tuple[str, ...] = ()) -> ParseError:
-        """The error blaming where, a Span or a lexer Token."""
+        """The error blaming where, a Span."""
         return cls(message, where.line, where.column, expected, where.start, where.end)
 
     def __str__(self) -> str:

@@ -187,23 +187,26 @@ def build_feature_model(root: Feature,
     while stack:
         f = stack.pop()
         if not _NAME_RE.match(f.name):
-            raise InvalidFeatureName(f"invalid feature name {f.name!r}")
+            raise InvalidFeatureName(f"invalid feature name {f.name!r}", f.name)
         if f.name in seen:
-            raise DuplicateFeatureName(f"duplicate feature name {f.name!r}")
+            raise DuplicateFeatureName(f"duplicate feature name {f.name!r}", f.name)
         seen.add(f.name)
         if f.group is not None and len(f.children) < 2:
             raise GroupTooSmall(
-                f"{f.group} group {f.name!r} has {len(f.children)} children, needs at least 2")
+                f"{f.group} group {f.name!r} has {len(f.children)} children, needs at least 2",
+                f.name)
         stack.extend(f.children)
 
     constraints = tuple(constraints)
     for ct in constraints:
         if ct.lhs == ct.rhs:
-            raise SelfConstraint(f"constraint {ct.kind} relates {ct.lhs!r} to itself")
+            raise SelfConstraint(f"constraint {ct.kind} relates {ct.lhs!r} to itself",
+                                 ct.lhs, ct)
         for endpoint in (ct.lhs, ct.rhs):
             if endpoint not in seen:
                 raise DanglingConstraintEndpoint(
-                    f"constraint endpoint {endpoint!r} is not a feature of the model")
+                    f"constraint endpoint {endpoint!r} is not a feature of the model",
+                    endpoint, ct)
 
     return FeatureModel(root, constraints, name or root.name)
 

@@ -4,21 +4,28 @@ Keywords are case-sensitive uppercase words and each lexes as its own token
 kind; every other word matching [A-Za-z][A-Za-z0-9_]* is an IDENT. Numbers
 are optionally signed decimals. // starts a line comment.
 
-One compiled pattern does the lexing: each match skips whitespace and
-comments, then takes one token (or a character no token starts with, or the
-end of input). iter_tokens yields the tokens lazily, so TokenStream keeps only
-the token under the cursor alive rather than the whole list. Because of that
-the parser can reach a syntax error before the lexer has seen a bad character
-further on. TokenStream.run keeps the rule that a bad character anywhere in
-the source is the error reported: when a parse fails, it lexes the rest of
-the source, so a later bad character raises in place of the parser's error.
+lex() reads the whole source in one pass of a compiled pattern: each match
+captures the skipped whitespace and comments, then one token (or a character
+no token starts with, or the empty end of input). The result is three flat
+sequences indexed by token: kind, text and end offset. No per-token object
+is built, and no line or column is counted while lexing: TokenStream turns
+an offset into a line and column only when the parser builds a Span or an
+error, by a bisect over the source's line starts. tokenize() still returns
+one six-field Token per token, for callers that want them.
+
+Because the whole source is lexed before parsing starts, a bad character
+anywhere in it is the error reported, ahead of any syntax error the parser
+would have found before it.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from typing import Callable, Iterator, NamedTuple
+from array import array
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import add, sub
+from typing import NamedTuple, NoReturn
 
 from .errors import ParseError
 from .syntax import Span
@@ -41,18 +48,20 @@ DEFINITION_KEYWORDS = frozenset({
     "REQUIRES", "EXCLUDES",
 })
 
-# Groups: 1 word, 2 number (a fraction needs a digit after the dot, so "1..2"
-# is 1 .. 2), 3 punctuation, 4 a character no token starts with. The \Z
-# alternative ends the input with a match of its own; without it a trailing
-# comment would make finditer retry one character later and see a lone "/".
+# Group 1 is what the match skips, group 2 the token: a word, a number (a
+# fraction needs a digit after the dot, so "1..2" is 1 .. 2), punctuation, a
+# character no token starts with, or the empty string at the end of input.
+# Every position matches, so split() leaves nothing between the matches.
 # The possessive quantifiers (Python 3.11+) keep the engine from saving
-# backtracking state it never needs; with plain greedy ones finditer takes
+# backtracking state it never needs; with plain greedy ones the pass takes
 # about 10% longer over a 1.8 MB source.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|//[^\n]*)*+"
-    r"(?:([A-Za-z][A-Za-z0-9_]*+)|(-?[0-9]++(?:\.[0-9]++)?+)"
-    r"|(\.\.|[()\[\]{},;.*])|(.)|\Z)")
-_WORD, _NUMBER, _PUNCT = 1, 2, 3
+    r"((?:[ \t\r\n]+|//[^\n]*)*+)"
+    r"([A-Za-z][A-Za-z0-9_]*+|-?[0-9]++(?:\.[0-9]++)?+|\.\.|[()\[\]{},;.*]|.|\Z)")
+_PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_DIGITS = frozenset("0123456789")
+_BAD = "bad character"  # the kind lex() raises at; no token carries it
 
 
 class Token(NamedTuple):
@@ -63,88 +72,123 @@ class Token(NamedTuple):
     offset: int
     end: int
 
-    @property
-    def start(self) -> int:
-        """The offset under the name a Span gives it, so that
-        ParseError.at can blame a token or a span alike."""
-        return self.offset
 
+class _Kinds(dict):
+    """Token text -> kind, worked out once per distinct text."""
 
-def iter_tokens(source: str, keywords: frozenset[str]) -> Iterator[Token]:
-    """Tokens of source in order, ending with one EOF token; raises
-    ParseError at the first character no token starts with."""
-    new = tuple.__new__
-    count = source.count
-    rfind = source.rfind
-    line = 1
-    line_start = 0
-    last = 0
-    for m in _TOKEN.finditer(source):
-        group = m.lastindex
-        pos = m.start(group) if group else m.end()
-        newlines = count("\n", last, pos)
-        if newlines:
-            line += newlines
-            line_start = rfind("\n", last, pos) + 1
-        if group is None:
-            yield new(Token, (EOF, "", line, pos - line_start + 1, pos, pos))
-            return
-        text = m.group(group)
-        last = pos + len(text)
-        if group == _WORD:
-            kind = text if text in keywords else IDENT
-        elif group == _NUMBER:
+    def __init__(self, keywords: frozenset[str]):
+        super().__init__({text: text for text in (*keywords, *_PUNCT)})
+        self[""] = EOF
+
+    def __missing__(self, text: str) -> str:
+        first = text[0]
+        if first in _LETTERS:
+            kind = IDENT
+        elif first in _DIGITS or len(text) > 1:  # a longer "-..." is "-" and digits
             kind = NUMBER
-        elif group == _PUNCT:
-            kind = text
         else:
-            raise ParseError.at(f"unexpected character {text!r}",
-                                Span(pos, last, line, pos - line_start + 1))
-        yield new(Token, (kind, text, line, pos - line_start + 1, pos, last))
+            kind = _BAD
+        self[text] = kind
+        return kind
+
+
+def lex(source: str, keywords: frozenset[str]) -> tuple[list[str], list[str], array]:
+    """The kinds and texts of the tokens of source, ending with one EOF
+    token, and their end offsets; raises ParseError at the first character
+    no token starts with. A token starts at its end minus the length of its
+    text."""
+    parts = _TOKEN.split(source)  # before, skipped, token, before, skipped, token, ...
+    texts = parts[2::3]
+    last = texts.index("")  # the end of input; a trailing skip can match it twice
+    del texts[last + 1:]
+    # one str object per distinct text: x50 keeps 10 MB less alive while parsing
+    canonical: dict[str, str] = {}
+    texts = list(map(canonical.setdefault, texts, texts))
+    kinds = list(map(_Kinds(keywords).__getitem__, texts))
+    ends = array("q", accumulate(map(add, map(len, parts[1:3 * last + 2:3]), map(len, texts))))
+    if _BAD in kinds:
+        offset = ends[kinds.index(_BAD)] - 1
+        line_start = source.rfind("\n", 0, offset) + 1
+        raise ParseError(f"unexpected character {source[offset]!r}",
+                         source.count("\n", 0, offset) + 1, offset - line_start + 1,
+                         start=offset, end=offset + 1)
+    return kinds, texts, ends
+
+
+def line_starts(source: str) -> list[int]:
+    """The offset at which each line of source starts."""
+    return list(accumulate(map((1).__add__, map(len, source.split("\n")[:-1])), initial=0))
 
 
 def tokenize(source: str, keywords: frozenset[str]) -> list[Token]:
-    return list(iter_tokens(source, keywords))
+    """Every token of source with its line and column, ending with EOF."""
+    kinds, texts, ends = lex(source, keywords)
+    offsets = list(map(sub, ends, map(len, texts)))
+    starts = line_starts(source)
+    lines = list(map(bisect_right, repeat(starts), offsets))
+    before = [0, *map((1).__rsub__, starts)]  # before[line] + column == offset
+    columns = map(sub, offsets, map(before.__getitem__, lines))
+    # built by C-level iterators alone: no Python frame per token
+    return list(map(tuple.__new__, repeat(Token),
+                    zip(kinds, texts, lines, columns, offsets, ends)))
 
 
 class TokenStream:
     """Cursor over the tokens of a source, with positioned errors on
-    mismatch."""
+    mismatch. A token is its index; texts holds the token texts, and kind is
+    the current token's kind."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
-        self._tokens = iter_tokens(source, keywords)
-        self.current = next(self._tokens)
-
-    def run(self, parse: Callable, *args):
-        """parse(*args), except that a bad character anywhere after the
-        cursor beats the ParseError it raises."""
-        try:
-            return parse(*args)
-        except ParseError:
-            deque(self._tokens, maxlen=0)  # raises at the next bad character
-            raise
+        self._kinds, self.texts, self._ends = lex(source, keywords)
+        self._line_starts = line_starts(source)
+        self.pos = 0
+        self.kind = self._kinds[0]
 
     def at(self, *kinds: str) -> bool:
-        return self.current.kind in kinds
+        return self.kind in kinds
 
-    def advance(self) -> Token:
-        tok = self.current
-        if tok.kind is not EOF:
-            self.current = next(self._tokens)
-        return tok
+    def advance(self) -> int:
+        """The current token, moving past it unless it is EOF."""
+        pos = self.pos
+        if self.kind is not EOF:
+            self.pos = pos + 1
+            self.kind = self._kinds[pos + 1]
+        return pos
 
-    def match(self, kind: str) -> Token | None:
-        if self.current.kind == kind:
-            return self.advance()
-        return None
+    def match(self, kind: str) -> bool:
+        """Whether the current token is of kind, moving past it if so."""
+        if self.kind == kind:
+            self.advance()
+            return True
+        return False
 
-    def expect(self, *kinds: str) -> Token:
-        tok = self.current
-        if tok.kind in kinds:
-            return self.advance()
-        return self.fail(*kinds)
+    def expect(self, *kinds: str) -> int:
+        """The current token, which must be of one of kinds, moving past it
+        as advance does (inlined: this runs for most tokens)."""
+        kind = self.kind
+        if kind in kinds:
+            pos = self.pos
+            if kind is not EOF:
+                self.pos = pos + 1
+                self.kind = self._kinds[pos + 1]
+            return pos
+        self.fail(*kinds)
 
-    def fail(self, *expected: str) -> Token:
-        tok = self.current
-        shown = tok.kind if tok.kind == EOF else f"{tok.text!r}"
-        raise ParseError.at(f"unexpected {shown}", tok, expected)
+    def fail(self, *expected: str) -> NoReturn:
+        kind = self.kind
+        shown = kind if kind is EOF else f"{self.texts[self.pos]!r}"
+        raise ParseError.at(f"unexpected {shown}", self.span(self.pos), expected)
+
+    def span(self, first: int, last: int | None = None) -> Span:
+        """From the start of token first to the end of token last (first
+        when omitted), with the line and column of its start."""
+        ends = self._ends
+        start = ends[first] - len(self.texts[first])
+        starts = self._line_starts
+        line = bisect_right(starts, start)
+        return Span(start, ends[first if last is None else last], line,
+                    start - starts[line - 1] + 1)
+
+    def span_from(self, first: int) -> Span:
+        """From token first to the last token the cursor moved past."""
+        return self.span(first, self.pos - 1)

@@ -35,6 +35,7 @@ from .features import (
     close_selection_traced,
     validate_configuration,
 )
+from .syntax import Span
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,13 @@ class ViewpointModel:
 
 @dataclass(frozen=True)
 class AppliedToDeclaration:
-    """Local model <local_model> may bind elements of <viewpoint>.<metaclass>."""
+    """Local model <local_model> may bind elements of <viewpoint>.<metaclass>.
+    span is the LOCAL line it was read from, if any."""
 
     local_model: str
     viewpoint: str
     metaclass: str
+    span: Span | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,10 @@ class FunctionalModel:
         for name, local in self.locals.items():
             if name != local.root.name:
                 raise TwinMismatch(
-                    f"local model registered as {name!r} has root {local.root.name!r}")
+                    f"local model registered as {name!r} has root {local.root.name!r}", name)
             if name not in self.global_model:
                 raise TwinMismatch(
-                    f"local model {name!r} has no copy in the global model")
+                    f"local model {name!r} has no copy in the global model", name)
             _check_twin(self.global_model, local)
 
 
@@ -102,21 +105,23 @@ def _check_twin(global_model: FeatureModel, local: FeatureModel) -> None:
         diff = global_cts ^ local_cts
         shown = ", ".join(f"{k} {a} {b}" for k, a, b in sorted(diff))
         raise TwinMismatch(
-            f"local model {local.name!r} and its global copy disagree on constraints: {shown}")
+            f"local model {local.name!r} and its global copy disagree on constraints: {shown}",
+            local.name)
 
 
 def _check_subtree(copy: Feature, local: Feature, model: str, *, is_root: bool = False) -> None:
     if copy.name != local.name:
         raise TwinMismatch(
-            f"local model {model!r}: global copy has {copy.name!r} where local has {local.name!r}")
+            f"local model {model!r}: global copy has {copy.name!r} where local has {local.name!r}",
+            model)
     if not is_root and copy.kind != local.kind:
         raise TwinMismatch(
             f"local model {model!r}: feature {local.name!r} is {local.kind} locally "
-            f"but {copy.kind} in the global copy")
+            f"but {copy.kind} in the global copy", model)
     if copy.group != local.group:
         raise TwinMismatch(
             f"local model {model!r}: feature {local.name!r} has group {local.group!r} locally "
-            f"but {copy.group!r} in the global copy")
+            f"but {copy.group!r} in the global copy", model)
     if len(copy.children) != len(local.children):
         copy_only = sorted({c.name for c in copy.children} - {c.name for c in local.children})
         local_only = sorted({c.name for c in local.children} - {c.name for c in copy.children})
@@ -126,7 +131,7 @@ def _check_subtree(copy: Feature, local: Feature, model: str, *, is_root: bool =
                 f"only in local model: {', '.join(local_only)}" if local_only else "",
             ) if part)
         raise TwinMismatch(
-            f"local model {model!r}: children of {local.name!r} differ ({detail})")
+            f"local model {model!r}: children of {local.name!r} differ ({detail})", model)
     for cc, lc in zip(copy.children, local.children):
         _check_subtree(cc, lc, model)
 

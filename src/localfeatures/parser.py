@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import isfinite
 
 from .errors import DuplicateFlag, MissingProduct, MultipleProducts, ParseError
-from .lexer import EOF, IDENT, NUMBER, SPEC_KEYWORDS, Token, TokenStream
+from .lexer import EOF, IDENT, NUMBER, SPEC_KEYWORDS, TokenStream
 from .syntax import (
     BUILTIN_TYPES,
     BoundingBox,
@@ -30,7 +30,6 @@ from .syntax import (
     ProductSpec,
     PropertyDecl,
     RelationshipSpec,
-    Span,
     StyleRef,
 )
 
@@ -41,20 +40,20 @@ _LAYER_REF_FLAGS = (FLAG_IS_BASE_LAYER, FLAG_DEFAULT_BASE_LAYER)
 
 def parse(source: str, filename: str = "<spec>") -> ProductSpec:
     """Parse a complete product specification."""
-    parser = _Parser(source)
-    return parser.ts.run(parser.spec, filename)
+    return _Parser(source).spec(filename)
 
 
 def parse_statement(source: str):
     """Parse exactly one declaration; used to check statement spans re-parse."""
-    parser = _Parser(source)
-    return parser.ts.run(parser.lone_statement)
+    return _Parser(source).lone_statement()
 
 
 class _Parser:
+    """Tokens are indices into the stream; self.texts[i] is token i's text."""
 
     def __init__(self, source: str):
         self.ts = TokenStream(source, SPEC_KEYWORDS)
+        self.texts = self.ts.texts
 
     # -- statements ---------------------------------------------------------
 
@@ -100,59 +99,54 @@ class _Parser:
             return self.layer_decl(start)
         self.ts.fail("ENTITY", "MAP", "GIS", "layer source kind")
 
-    def entity_decl(self, start: Token) -> EntityDecl:
+    def entity_decl(self, start: int) -> EntityDecl:
         self.ts.expect("ENTITY")
-        name = self.ts.expect(IDENT)
+        name = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("(")
         properties = [self.property_decl()]
         while self.ts.match(","):
             properties.append(self.property_decl())
         self.ts.expect(")")
         features = self.feature_clause()
-        end = self.ts.expect(";")
+        self.ts.expect(";")
 
         for flag in (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING):
             carriers = [p for p in properties if flag in p.flags]
             if len(carriers) > 1:
                 raise DuplicateFlag.at(
-                    f"entity {name.text!r} flags more than one property {flag}",
+                    f"entity {name!r} flags more than one property {flag}",
                     carriers[1].span)
-        return EntityDecl(name.text, tuple(properties), features,
-                          Span.covering(start, end))
+        return EntityDecl(name, tuple(properties), features, self.ts.span_from(start))
 
     def property_decl(self) -> PropertyDecl:
-        name = self.ts.expect(IDENT)
-        type_name = self.ts.expect(IDENT)
-        flags, last = self.flags(_PROPERTY_FLAGS, type_name)
+        start = self.ts.expect(IDENT)
+        type_name = self.texts[self.ts.expect(IDENT)]
+        flags = self.flags(_PROPERTY_FLAGS)
         relationship = None
         if self.ts.at("RELATIONSHIP"):
             rel_tok = self.ts.advance()
-            if type_name.text in BUILTIN_TYPES:
+            if type_name in BUILTIN_TYPES:
                 raise ParseError.at(
-                    f"RELATIONSHIP is not allowed on built-in type {type_name.text!r}",
-                    rel_tok)
-            relationship, last = self.relationship_spec()
-        return PropertyDecl(name.text, type_name.text, flags, relationship,
-                            Span.covering(name, last))
+                    f"RELATIONSHIP is not allowed on built-in type {type_name!r}",
+                    self.ts.span(rel_tok))
+            relationship = self.relationship_spec()
+        return PropertyDecl(self.texts[start], type_name, flags, relationship,
+                            self.ts.span_from(start))
 
-    def relationship_spec(self) -> tuple[RelationshipSpec, Token]:
+    def relationship_spec(self) -> RelationshipSpec:
         if self.ts.match("("):
             first = self.cardinality()
             self.ts.expect(",")
             second = self.cardinality()
-            end = self.ts.expect(")")
-            bidirectional = False
-            if self.ts.at("BIDIRECTIONAL"):
-                end = self.ts.advance()
-                bidirectional = True
-            return RelationshipSpec((first, second), bidirectional, None), end
+            self.ts.expect(")")
+            bidirectional = self.ts.match("BIDIRECTIONAL")
+            return RelationshipSpec((first, second), bidirectional, None)
         if self.ts.match("MAPPED_BY"):
-            target = self.ts.expect(IDENT)
-            return RelationshipSpec(None, False, target.text), target
+            return RelationshipSpec(None, False, self.texts[self.ts.expect(IDENT)])
         self.ts.fail("(", "MAPPED_BY")
 
     def cardinality(self) -> Cardinality:
-        start = self.ts.current
+        start = self.ts.pos
         low = self.cardinality_bound("cardinality bound")
         self.ts.expect("..")
         if self.ts.match("*"):
@@ -160,27 +154,28 @@ class _Parser:
         high = self.cardinality_bound("cardinality bound", "*")
         if low > high:
             raise ParseError.at(
-                f"cardinality {low}..{high} has its lower bound above its upper bound", start)
+                f"cardinality {low}..{high} has its lower bound above its upper bound",
+                self.ts.span(start))
         return Cardinality(low, high)
 
     def cardinality_bound(self, *expected: str) -> int:
-        tok = self.ts.current
-        if tok.kind != NUMBER or not tok.text.isdigit():
+        text = self.texts[self.ts.pos]
+        if self.ts.kind != NUMBER or not text.isdigit():
             self.ts.fail(*expected)
-        self.ts.advance()
+        tok = self.ts.advance()
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:  # more digits than int() converts
-            raise ParseError.at("cardinality bound out of range", tok) from None
+            raise ParseError.at("cardinality bound out of range", self.ts.span(tok)) from None
 
-    def layer_decl(self, start: Token) -> LayerDecl:
-        source_kind = self.ts.expect(IDENT)
+    def layer_decl(self, start: int) -> LayerDecl:
+        source_kind = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("LAYER")
-        name = self.ts.expect(IDENT)
+        name = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("AS")
         display = self.display_name()
         self.ts.expect("FOR")
-        entity = self.ts.expect(IDENT)
+        entity = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("WITH")
         self.ts.expect("STYLES")
         self.ts.expect("(")
@@ -191,19 +186,19 @@ class _Parser:
         defaults = [s for s in styles if s.is_default]
         if len(defaults) > 1:
             raise DuplicateFlag.at(
-                f"layer {name.text!r} marks more than one style DEFAULT", close)
-        end = self.ts.expect(";")
-        return LayerDecl(name.text, display, entity.text, source_kind.text,
-                         tuple(styles), Span.covering(start, end))
+                f"layer {name!r} marks more than one style DEFAULT", self.ts.span(close))
+        self.ts.expect(";")
+        return LayerDecl(name, display, entity, source_kind, tuple(styles),
+                         self.ts.span_from(start))
 
     def style_ref(self) -> StyleRef:
-        name = self.ts.expect(IDENT)
-        is_default = self.ts.match("DEFAULT") is not None
-        return StyleRef(name.text, is_default)
+        name = self.texts[self.ts.expect(IDENT)]
+        is_default = self.ts.match("DEFAULT")
+        return StyleRef(name, is_default)
 
-    def map_decl(self, start: Token) -> MapDecl:
+    def map_decl(self, start: int) -> MapDecl:
         self.ts.expect("MAP")
-        name = self.ts.expect(IDENT)
+        name = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("AS")
         display = self.display_name()
         self.ts.expect("WITH")
@@ -222,55 +217,56 @@ class _Parser:
                 self.ts.expect("WITH")
                 tok = self.ts.expect("CENTER")
                 if center is not None:
-                    raise ParseError.at("map declares CENTER twice", tok)
+                    raise ParseError.at("map declares CENTER twice", self.ts.span(tok))
                 center = self.bounding_box()
             elif self.ts.at("WITH"):
                 if features is not None:
-                    raise DuplicateFlag.at("map declares WITH FEATURES twice", self.ts.current)
+                    raise DuplicateFlag.at("map declares WITH FEATURES twice",
+                                          self.ts.span(self.ts.pos))
                 features = self.feature_clause()
             else:
                 break
-        end = self.ts.expect(";")
+        self.ts.expect(";")
 
         base = [r for r in refs if FLAG_IS_BASE_LAYER in r.flags]
         if not base:
-            raise ParseError.at(f"map {name.text!r} flags no layer IS_BASE_LAYER", close)
+            raise ParseError.at(f"map {name!r} flags no layer IS_BASE_LAYER",
+                                self.ts.span(close))
         if len(base) > 1:
             raise ParseError.at(
-                f"map {name.text!r} flags more than one layer IS_BASE_LAYER", base[1].span)
-        return MapDecl(name.text, display, tuple(refs), center, features,
-                       Span.covering(start, end))
+                f"map {name!r} flags more than one layer IS_BASE_LAYER", base[1].span)
+        return MapDecl(name, display, tuple(refs), center, features, self.ts.span_from(start))
 
     def layer_ref(self) -> LayerRef:
-        name = self.ts.expect(IDENT)
-        flags, last = self.flags(_LAYER_REF_FLAGS, name)
+        start = self.ts.expect(IDENT)
+        name = self.texts[start]
+        flags = self.flags(_LAYER_REF_FLAGS)
         if FLAG_DEFAULT_BASE_LAYER in flags and FLAG_IS_BASE_LAYER not in flags:
             raise ParseError.at(
-                f"layer reference {name.text!r} is DEFAULT_BASE_LAYER but not IS_BASE_LAYER",
-                name)
+                f"layer reference {name!r} is DEFAULT_BASE_LAYER but not IS_BASE_LAYER",
+                self.ts.span(start))
         features = self.feature_clause()
-        return LayerRef(name.text, flags, features,
-                        Span.covering(name, last if features is None else features.span))
+        return LayerRef(name, flags, features, self.ts.span_from(start))
 
-    def product_decl(self, start: Token) -> ProductDecl:
+    def product_decl(self, start: int) -> ProductDecl:
         self.ts.expect("GIS")
-        name = self.ts.expect(IDENT)
+        name = self.texts[self.ts.expect(IDENT)]
         features = self.feature_clause()
-        end = self.ts.expect(";")
-        return ProductDecl(name.text, features, Span.covering(start, end))
+        self.ts.expect(";")
+        return ProductDecl(name, features, self.ts.span_from(start))
 
     # -- shared pieces ------------------------------------------------------
 
-    def flags(self, allowed: tuple[str, ...], last: Token) -> tuple[tuple[str, ...], Token]:
-        """The flags among allowed that come next, each at most once, and the
-        last token read (last itself when there are none)."""
+    def flags(self, allowed: tuple[str, ...]) -> tuple[str, ...]:
+        """The flags among allowed that come next, each at most once."""
         flags: list[str] = []
         while self.ts.at(*allowed):
-            last = self.ts.advance()
-            if last.kind in flags:
-                raise DuplicateFlag.at(f"duplicate flag {last.kind}", last)
-            flags.append(last.kind)
-        return tuple(flags), last
+            flag = self.ts.kind
+            if flag in flags:
+                raise DuplicateFlag.at(f"duplicate flag {flag}", self.ts.span(self.ts.pos))
+            flags.append(flag)
+            self.ts.advance()
+        return tuple(flags)
 
     def feature_clause(self) -> FeatureClause | None:
         if not self.ts.at("WITH"):
@@ -280,16 +276,16 @@ class _Parser:
         self.ts.expect("(")
         names: list[str] = []
         if not self.ts.at(")"):
-            names.append(self.ts.expect(IDENT).text)
+            names.append(self.texts[self.ts.expect(IDENT)])
             while self.ts.match(","):
-                names.append(self.ts.expect(IDENT).text)
-        end = self.ts.expect(")")
-        return FeatureClause(tuple(names), Span.covering(start, end))
+                names.append(self.texts[self.ts.expect(IDENT)])
+        self.ts.expect(")")
+        return FeatureClause(tuple(names), self.ts.span_from(start))
 
     def display_name(self) -> str:
         words: list[str] = []
         while self.ts.at(IDENT, NUMBER):
-            words.append(self.ts.advance().text)
+            words.append(self.texts[self.ts.advance()])
         if not words:
             self.ts.fail("display name")
         return " ".join(words)
@@ -312,7 +308,7 @@ class _Parser:
 
     def coordinate(self) -> float:
         tok = self.ts.expect(NUMBER)
-        value = float(tok.text)
+        value = float(self.texts[tok])
         if not isfinite(value):  # JSON has no Infinity to emit it as
-            raise ParseError.at("coordinate out of range", tok)
+            raise ParseError.at("coordinate out of range", self.ts.span(tok))
         return value

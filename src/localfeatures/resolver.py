@@ -1,8 +1,9 @@
 """Resolution of a product specification against a product line definition.
 
-resolve() runs four steps. It checks names, keeping the first declaration of
-each entity, layer and map name; closes and validates the global selection;
-builds the multimodel from the definition's viewpoints and applied-to
+resolve() runs four steps, after warning about each LOCAL line whose
+metaclass no specification element can have. It checks names, keeping the
+first declaration of each entity, layer and map name; closes and validates
+the global selection; builds the multimodel from the definition's viewpoints and applied-to
 declarations, then walks the kept declarations once, placing each element in
 its viewpoint and binding its feature clause in the same visit; and finally
 computes each covered element's effective configuration plus the product's
@@ -43,6 +44,11 @@ ENTITY_METACLASS = "Entity"
 MAP_METACLASS = "Map"
 LAYER_METACLASS = "Layer"
 LAYER_IN_MAP_METACLASS = "LayerInMap"
+# every viewpoint.metaclass a specification can place an element of
+PLACED_METACLASSES = (f"{DATA_VIEWPOINT}.{ENTITY_METACLASS}",
+                      f"{VISUALIZATION_VIEWPOINT}.{LAYER_METACLASS}",
+                      f"{VISUALIZATION_VIEWPOINT}.{MAP_METACLASS}",
+                      f"{VISUALIZATION_VIEWPOINT}.{LAYER_IN_MAP_METACLASS}")
 
 # explain's origin and detail for each closure rule; {} is the feature that pulled it in
 _CLOSURE_ORIGINS = {
@@ -157,6 +163,7 @@ class _Resolution:
     # -- pipeline -------------------------------------------------------------
 
     def run(self) -> ResolvedProduct:
+        self.check_local_lines()
         self.check_names()
         global_selection = self.global_selection()
         viewpoints = {name: ViewpointModel(name, frozenset(metaclasses))
@@ -186,6 +193,17 @@ class _Resolution:
                                tuple(self.diagnostics),
                                spec=self.spec, definition=self.definition,
                                clause_spans=self.clause_spans)
+
+    # -- before the steps: LOCAL lines no element can use ---------------------
+
+    def check_local_lines(self) -> None:
+        for decl in self.definition.applied_to:
+            place = f"{decl.viewpoint}.{decl.metaclass}"
+            if place not in PLACED_METACLASSES:
+                self.warning("inert-local",
+                             f"LOCAL {decl.local_model} APPLIED TO {place} binds nothing: "
+                             f"specification elements are only {', '.join(PLACED_METACLASSES)}",
+                             decl.span, source=self.definition.source_name)
 
     # -- step 1: name resolution ----------------------------------------------
 

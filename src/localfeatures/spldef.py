@@ -28,7 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import (
+    DuplicateFeatureName,
+    FeatureModelError,
+    GroupTooSmall,
+    ParseError,
+    TwinMismatch,
+)
 from .features import (
     EXCLUDES,
     MANDATORY,
@@ -41,7 +47,7 @@ from .features import (
     FeatureModel,
     build_feature_model,
 )
-from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, Token, TokenStream
+from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream
 from .multimodel import AppliedToDeclaration, FunctionalModel
 from .syntax import Span
 
@@ -66,19 +72,35 @@ class SplDefinition:
 
 
 def parse_spl_definition(source: str, filename: str = "<definition>") -> SplDefinition:
-    parser = _DefinitionParser(source)
-    return parser.ts.run(parser.parse, filename)
+    return _DefinitionParser(source).parse(filename)
+
+
+@dataclass
+class _Block:
+    """A FEATUREMODEL block as read, with the tokens its errors cite: the
+    FEATUREMODEL keyword, each feature name's tokens in source order, the
+    name token of each feature whose group has fewer than two children, and
+    each constraint's two endpoint tokens."""
+
+    head: int
+    names: dict[str, list[int]] = field(default_factory=dict)
+    small_groups: dict[str, int] = field(default_factory=dict)
+    endpoints: list[tuple[int, int]] = field(default_factory=list)
+    root: Feature | None = None
+    constraints: tuple[CrossTreeConstraint, ...] = ()
 
 
 class _DefinitionParser:
+    """Tokens are indices into the stream; self.texts[i] is token i's text."""
 
     def __init__(self, source: str):
         self.ts = TokenStream(source, DEFINITION_KEYWORDS)
+        self.texts = self.ts.texts
 
     def parse(self, filename: str) -> SplDefinition:
         viewpoints: dict[str, tuple[str, ...]] = {}
-        trees: dict[str, tuple[Feature, tuple[CrossTreeConstraint, ...]]] = {}
-        local_lines: list[tuple[Token, Token, Token]] = []
+        blocks: dict[str, _Block] = {}
+        local_lines: list[tuple[Span, int, int, int]] = []
         defaults: tuple[str, ...] | None = None
         defaults_span: Span | None = None
 
@@ -86,34 +108,38 @@ class _DefinitionParser:
             if self.ts.at("VIEWPOINT"):
                 self.viewpoint_decl(viewpoints)
             elif self.ts.at("FEATUREMODEL"):
-                self.model_block(trees)
+                self.model_block(blocks)
             elif self.ts.at("LOCAL"):
                 local_lines.append(self.local_decl())
             elif self.ts.at("DEFAULTS"):
                 if defaults is not None:
-                    raise ParseError.at("definition declares DEFAULTS twice", self.ts.current)
+                    raise ParseError.at("definition declares DEFAULTS twice",
+                                        self.ts.span(self.ts.pos))
                 defaults, defaults_span = self.defaults_decl()
             else:
                 self.ts.fail("VIEWPOINT", "FEATUREMODEL", "LOCAL", "DEFAULTS")
 
+        texts = self.texts
         applied: list[AppliedToDeclaration] = []
-        for root, viewpoint, metaclass in local_lines:
-            if root.text not in trees:
+        for line, root, viewpoint, metaclass in local_lines:
+            if texts[root] not in blocks:
                 raise ParseError.at(
-                    f"LOCAL references undeclared feature model {root.text!r}", root)
-            if viewpoint.text not in viewpoints:
-                raise ParseError.at(f"no viewpoint named {viewpoint.text!r}", viewpoint)
-            if metaclass.text not in viewpoints[viewpoint.text]:
-                raise ParseError.at(f"viewpoint {viewpoint.text!r} declares no metaclass "
-                                    f"{metaclass.text!r}", metaclass)
-            decl = AppliedToDeclaration(root.text, viewpoint.text, metaclass.text)
+                    f"LOCAL references undeclared feature model {texts[root]!r}",
+                    self.ts.span(root))
+            if texts[viewpoint] not in viewpoints:
+                raise ParseError.at(f"no viewpoint named {texts[viewpoint]!r}",
+                                    self.ts.span(viewpoint))
+            if texts[metaclass] not in viewpoints[texts[viewpoint]]:
+                raise ParseError.at(f"viewpoint {texts[viewpoint]!r} declares no metaclass "
+                                    f"{texts[metaclass]!r}", self.ts.span(metaclass))
+            decl = AppliedToDeclaration(texts[root], texts[viewpoint], texts[metaclass], line)
             if decl in applied:
-                raise ParseError.at(f"duplicate LOCAL {root.text} APPLIED TO "
-                                    f"{viewpoint.text}.{metaclass.text}", root)
+                raise ParseError.at(f"duplicate LOCAL {decl.local_model} APPLIED TO "
+                                    f"{decl.viewpoint}.{decl.metaclass}", self.ts.span(root))
             applied.append(decl)
         local_names = {d.local_model for d in applied}
 
-        global_names = [n for n in trees if n not in local_names]
+        global_names = [n for n in blocks if n not in local_names]
         if len(global_names) != 1:
             shown = ", ".join(global_names) or "none"
             raise ParseError(
@@ -121,10 +147,13 @@ class _DefinitionParser:
                 f"(the global model); candidates: {shown}", 1, 1)
         global_name = global_names[0]
 
-        global_model = build_feature_model(*trees[global_name], name=global_name)
-        locals_ = {name: build_feature_model(*trees[name], name=name)
-                   for name in trees if name in local_names}
-        functional = FunctionalModel(global_model, locals_)
+        global_model = self.build(blocks[global_name])
+        locals_ = {name: self.build(blocks[name]) for name in blocks if name in local_names}
+        try:
+            functional = FunctionalModel(global_model, locals_)
+        except TwinMismatch as exc:
+            exc.span = self.ts.span(blocks[exc.model].head)
+            raise
 
         defaults = defaults or ()
         unknown = set(defaults) - global_model.feature_names
@@ -135,77 +164,104 @@ class _DefinitionParser:
         return SplDefinition(functional, viewpoints, tuple(applied), defaults,
                              source_name=filename, defaults_span=defaults_span)
 
+    def build(self, block: _Block) -> FeatureModel:
+        """The block's feature model; an error building it is spanned at the
+        feature or constraint endpoint it is about (a repeated name at its
+        second occurrence)."""
+        try:
+            return build_feature_model(block.root, block.constraints, name=block.root.name)
+        except FeatureModelError as exc:
+            if exc.constraint is not None:
+                lhs, rhs = block.endpoints[block.constraints.index(exc.constraint)]
+                tok = lhs if self.texts[lhs] == exc.feature else rhs
+            elif isinstance(exc, GroupTooSmall):
+                tok = block.small_groups[exc.feature]
+            else:
+                occurrences = block.names[exc.feature]
+                tok = occurrences[1] if isinstance(exc, DuplicateFeatureName) else occurrences[0]
+            exc.span = self.ts.span(tok)
+            raise
+
     # -- declarations -------------------------------------------------------
 
     def viewpoint_decl(self, viewpoints: dict[str, tuple[str, ...]]) -> None:
         self.ts.expect("VIEWPOINT")
         name = self.ts.expect(IDENT)
-        if name.text in viewpoints:
-            raise ParseError.at(f"duplicate viewpoint {name.text!r}", name)
+        if self.texts[name] in viewpoints:
+            raise ParseError.at(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
         self.ts.expect("(")
-        metaclasses = [self.ts.expect(IDENT).text]
+        metaclasses = [self.texts[self.ts.expect(IDENT)]]
         while self.ts.match(","):
             metaclass = self.ts.expect(IDENT)
-            if metaclass.text in metaclasses:
-                raise ParseError.at(f"duplicate metaclass {metaclass.text!r}", metaclass)
-            metaclasses.append(metaclass.text)
+            if self.texts[metaclass] in metaclasses:
+                raise ParseError.at(f"duplicate metaclass {self.texts[metaclass]!r}",
+                                    self.ts.span(metaclass))
+            metaclasses.append(self.texts[metaclass])
         self.ts.expect(")")
         self.ts.expect(";")
-        viewpoints[name.text] = tuple(metaclasses)
+        viewpoints[self.texts[name]] = tuple(metaclasses)
 
-    def model_block(self, trees: dict) -> None:
-        self.ts.expect("FEATUREMODEL")
+    def model_block(self, blocks: dict[str, _Block]) -> None:
+        block = _Block(self.ts.expect("FEATUREMODEL"))
         name = self.ts.expect(IDENT)
-        if name.text in trees:
-            raise ParseError.at(f"duplicate feature model {name.text!r}", name)
+        if self.texts[name] in blocks:
+            raise ParseError.at(f"duplicate feature model {self.texts[name]!r}",
+                                self.ts.span(name))
+        block.names[self.texts[name]] = [name]
         group = self.group_marker()
         self.ts.expect("{")
         children: list[Feature] = []
         constraints: list[CrossTreeConstraint] = []
         while True:
             if self.ts.at("REQUIRES", "EXCLUDES"):
-                constraints.append(self.constraint())
+                constraints.append(self.constraint(block))
             elif group is None and self.ts.at("MANDATORY", "OPTIONAL"):
-                children.append(self.feature_node(kinded=True))
+                children.append(self.feature_node(block, kinded=True))
             elif group is not None and self.ts.at(IDENT):
-                children.append(self.feature_node(kinded=False))
+                children.append(self.feature_node(block, kinded=False))
             else:
                 break
         if group is None:
             self.ts.expect("}", "MANDATORY", "OPTIONAL", "REQUIRES", "EXCLUDES")
         else:
             self.ts.expect("}", IDENT, "REQUIRES", "EXCLUDES")
-        root = Feature(name.text, MANDATORY, group, False, tuple(children))
-        trees[name.text] = (root, tuple(constraints))
+        block.root = self.feature(name, MANDATORY, group, False, children, block)
+        block.constraints = tuple(constraints)
+        blocks[block.root.name] = block
 
-    def feature_node(self, kinded: bool, depth: int = 1) -> Feature:
+    def feature(self, name: int, kind: str, group: str | None, abstract: bool,
+                children: list[Feature], block: _Block) -> Feature:
+        if group is not None and len(children) < 2:
+            block.small_groups.setdefault(self.texts[name], name)
+        return Feature(self.texts[name], kind, group, abstract, tuple(children))
+
+    def feature_node(self, block: _Block, kinded: bool, depth: int = 1) -> Feature:
         if depth > MAX_FEATURE_DEPTH:
             raise ParseError.at(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
-                                self.ts.current)
+                                self.ts.span(self.ts.pos))
         if kinded:
-            kind = MANDATORY if self.ts.expect("MANDATORY", "OPTIONAL").kind == "MANDATORY" \
-                else OPTIONAL
+            kind = MANDATORY if self.ts.at("MANDATORY") else OPTIONAL
+            self.ts.expect("MANDATORY", "OPTIONAL")
         else:
             kind = OPTIONAL
         name = self.ts.expect(IDENT)
+        block.names.setdefault(self.texts[name], []).append(name)
         group = self.group_marker()
-        abstract = self.ts.match("ABSTRACT") is not None
-        children: tuple[Feature, ...] = ()
+        abstract = self.ts.match("ABSTRACT")
+        children: list[Feature] = []
         if self.ts.match("{"):
-            gathered: list[Feature] = []
             while True:
                 if group is None and self.ts.at("MANDATORY", "OPTIONAL"):
-                    gathered.append(self.feature_node(kinded=True, depth=depth + 1))
+                    children.append(self.feature_node(block, kinded=True, depth=depth + 1))
                 elif group is not None and self.ts.at(IDENT):
-                    gathered.append(self.feature_node(kinded=False, depth=depth + 1))
+                    children.append(self.feature_node(block, kinded=False, depth=depth + 1))
                 else:
                     break
             if group is None:
                 self.ts.expect("}", "MANDATORY", "OPTIONAL")
             else:
                 self.ts.expect("}", IDENT)
-            children = tuple(gathered)
-        return Feature(name.text, kind, group, abstract, children)
+        return self.feature(name, kind, group, abstract, children, block)
 
     def group_marker(self) -> str | None:
         if self.ts.match("XOR"):
@@ -214,16 +270,18 @@ class _DefinitionParser:
             return OR
         return None
 
-    def constraint(self) -> CrossTreeConstraint:
-        tok = self.ts.expect("REQUIRES", "EXCLUDES")
-        kind = REQUIRES if tok.kind == "REQUIRES" else EXCLUDES
+    def constraint(self, block: _Block) -> CrossTreeConstraint:
+        kind = REQUIRES if self.ts.kind == "REQUIRES" else EXCLUDES
+        self.ts.expect("REQUIRES", "EXCLUDES")
         lhs = self.ts.expect(IDENT)
         rhs = self.ts.expect(IDENT)
-        return CrossTreeConstraint(kind, lhs.text, rhs.text)
+        block.endpoints.append((lhs, rhs))
+        return CrossTreeConstraint(kind, self.texts[lhs], self.texts[rhs])
 
-    def local_decl(self) -> tuple[Token, Token, Token]:
-        """The root, viewpoint and metaclass names of a LOCAL line."""
-        self.ts.expect("LOCAL")
+    def local_decl(self) -> tuple[Span, int, int, int]:
+        """The span of a LOCAL line and its root, viewpoint and metaclass
+        names."""
+        start = self.ts.expect("LOCAL")
         root = self.ts.expect(IDENT)
         self.ts.expect("APPLIED")
         self.ts.expect("TO")
@@ -231,19 +289,19 @@ class _DefinitionParser:
         self.ts.expect(".")
         metaclass = self.ts.expect(IDENT)
         self.ts.expect(";")
-        return root, viewpoint, metaclass
+        return self.ts.span_from(start), root, viewpoint, metaclass
 
     def defaults_decl(self) -> tuple[tuple[str, ...], Span]:
         start = self.ts.expect("DEFAULTS")
         self.ts.expect("(")
         names: list[str] = []
         if not self.ts.at(")"):
-            names.append(self.ts.expect(IDENT).text)
+            names.append(self.texts[self.ts.expect(IDENT)])
             while self.ts.match(","):
-                names.append(self.ts.expect(IDENT).text)
+                names.append(self.texts[self.ts.expect(IDENT)])
         self.ts.expect(")")
-        end = self.ts.expect(";")
-        return tuple(names), Span.covering(start, end)
+        self.ts.expect(";")
+        return tuple(names), self.ts.span_from(start)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,6 @@ class Span:
     line: int
     column: int
 
-    @classmethod
-    def covering(cls, first, last) -> Span:
-        """From the start of first to the end of last, each a Span or a
-        lexer Token."""
-        return cls(first.start, last.end, first.line, first.column)
-
     def slice(self, source: str) -> str:
         return source[self.start:self.end]
 

@@ -218,7 +218,8 @@ def reference_tokenize(source: str, keywords: frozenset[str]) -> list[tuple]:
                 pos += len(punct)
                 break
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col,
+                             start=pos, end=pos + 1)
 
     tokens.append((EOF, "", line, n - line_start + 1, n, n))
     return tokens
@@ -347,38 +348,42 @@ def definition_clauses(definition: SplDefinition) -> ClauseDrawer:
     return draw
 
 
-def scale_spec_text() -> str:
+def scale_spec_text(copies: int = 1) -> str:
     """A large product specification with known feature demographics.
 
     107 entities (17 list-only indicators, 11 read-only context entities,
     79 fully editable), 150 layers each referenced by exactly one of 54 maps
     (8 maps with five layers, 18 with three, 28 with two), every layer bound
     with OpacitySelector and the eight big maps' layers also with
-    StyleSelector. Clustering never appears.
+    StyleSelector. Clustering never appears. With copies > 1 each of these
+    elements is declared once per copy c, its name suffixed with c<c>, all
+    under one product.
     """
     indicators = "(List, Filterable)"
     context = "(Form, List, FormAccess, Filterable)"
     editable = "(Form, Creatable, Editable, List, FormAccess, Filterable)"
     parts = []
-    for i, clause in enumerate([indicators] * 17 + [context] * 11
-                               + [editable] * 79, start=1):
-        parts.append(f"CREATE ENTITY E{i} (\n"
-                     f"    id Long IDENTIFIER\n"
-                     f") WITH FEATURES {clause};\n")
-    for i in range(1, 151):
-        owner = (i - 1) % 107 + 1
-        parts.append(f"CREATE GEOJSON LAYER L{i} AS L{i} FOR E{owner} "
-                     f"WITH STYLES ( plain DEFAULT );\n")
-    next_layer = 1
-    for m, size in enumerate([5] * 8 + [3] * 18 + [2] * 28, start=1):
-        refs = ["    baseLayer IS_BASE_LAYER DEFAULT_BASE_LAYER"]
-        for _ in range(size):
-            extra = ", StyleSelector" if m <= 8 else ""
-            refs.append(f"    L{next_layer} WITH FEATURES ( OpacitySelector{extra} )")
-            next_layer += 1
-        tail = " WITH FEATURES ( LayerManager, UserGeolocation );" if m <= 8 else ";"
-        parts.append(f"CREATE MAP M{m} AS M{m} WITH LAYERS (\n"
-                     + ",\n".join(refs) + f"\n){tail}\n")
+    for copy in range(copies):
+        c = f"c{copy}" if copies > 1 else ""
+        for i, clause in enumerate([indicators] * 17 + [context] * 11
+                                   + [editable] * 79, start=1):
+            parts.append(f"CREATE ENTITY E{i}{c} (\n"
+                         f"    id Long IDENTIFIER\n"
+                         f") WITH FEATURES {clause};\n")
+        for i in range(1, 151):
+            owner = (i - 1) % 107 + 1
+            parts.append(f"CREATE GEOJSON LAYER L{i}{c} AS L{i} FOR E{owner}{c} "
+                         f"WITH STYLES ( plain DEFAULT );\n")
+        next_layer = 1
+        for m, size in enumerate([5] * 8 + [3] * 18 + [2] * 28, start=1):
+            refs = ["    baseLayer IS_BASE_LAYER DEFAULT_BASE_LAYER"]
+            for _ in range(size):
+                extra = ", StyleSelector" if m <= 8 else ""
+                refs.append(f"    L{next_layer}{c} WITH FEATURES ( OpacitySelector{extra} )")
+                next_layer += 1
+            tail = " WITH FEATURES ( LayerManager, UserGeolocation );" if m <= 8 else ";"
+            parts.append(f"CREATE MAP M{m}{c} AS M{m} WITH LAYERS (\n"
+                         + ",\n".join(refs) + f"\n){tail}\n")
     parts.append("CREATE GIS Scale WITH FEATURES (TopMenu, UserManagement);\n")
     return "\n".join(parts)
 

@@ -13,6 +13,7 @@ from localfeatures.cli import _color_enabled, main, print_diagnostics
 from localfeatures.resolver import Diagnostic
 from localfeatures.spldef import MAX_FEATURE_DEPTH
 
+from conftest import FIXTURES
 from generators import nested_spl
 
 TOY_SPL = """\
@@ -162,8 +163,33 @@ def test_check_reports_definition_errors(files, capsys):
     rc = main(["check", str(files / "webeiel.gis"), "--spl", bad])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "error[definition]" in err
-    assert "children of 'W' differ" in err
+    # at the local model's FEATUREMODEL line
+    assert err == (f"{bad}:9:1: error[definition]: local model 'W': "
+                   "children of 'W' differ (only in global copy: A)\n")
+
+
+def test_definition_errors_are_reported_at_the_feature(files, capsys):
+    bad = write(files, "dup.spl", "FEATUREMODEL R {\n    OPTIONAL A\n    OPTIONAL A\n}\n")
+    rc = main(["check", str(files / "webeiel.gis"), "--spl", bad])
+    assert rc == 1
+    assert capsys.readouterr().err == f"{bad}:3:14: error[definition]: duplicate feature name 'A'\n"
+    rc = main(["check", str(files / "webeiel.gis"), "--spl", bad, "--format", "json"])
+    rows = json.loads(capsys.readouterr().err)
+    assert rc == 1
+    assert [(r["line"], r["column"], r["code"]) for r in rows] == [(3, 14, "definition")]
+
+
+def test_check_warns_about_an_inert_local_line(files, capsys):
+    spl = write(files, "shop.spl", (FIXTURES / "ecommerce.spl").read_text())
+    spec = write(files, "x.gis", "CREATE GIS X;")
+    rc = main(["check", spec, "--spl", spl])
+    out, err = capsys.readouterr()
+    assert rc == 0
+    assert err == (f"{spl}:41:1: warning[inert-local]: LOCAL CategoryDisplay APPLIED TO "
+                   "catalog.Category binds nothing: specification elements are only "
+                   "data.Entity, visualization.Layer, visualization.Map, "
+                   "visualization.LayerInMap\n")
+    assert out == "0 errors, 1 warnings\n"
 
 
 def test_json_format_reports_syntax_errors_at_their_position(files, capsys):

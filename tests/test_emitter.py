@@ -1,14 +1,17 @@
 """Derivation-config emission: deterministic JSON, schema conformance."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from localfeatures import emit, parse, resolve, verify_schema
-from localfeatures.emitter import SCHEMA_VERSION, derivation_config
+from localfeatures.emitter import SCHEMA_VERSION, _json, derivation_config
 from localfeatures.errors import UnresolvedErrors
+
+from generators import definition_clauses, random_spec, scale_spec_text
 
 
 @pytest.fixture(scope="session")
@@ -204,3 +207,57 @@ def test_importing_the_package_does_not_import_jsonschema(package_env):
 def test_derivation_config_is_plain_data(webeiel_resolved):
     config = derivation_config(webeiel_resolved)
     assert json.loads(json.dumps(config)) == config
+
+
+# -- the writer against json.dumps, its oracle ------------------------------------------
+
+def test_emit_writes_what_json_dumps_writes(webeiel_resolved, gis_definition):
+    for source in ("CREATE GIS Minimal;", scale_spec_text(), scale_spec_text(50)):
+        resolved = resolve(parse(source), gis_definition)
+        assert emit(resolved) == dumps(derivation_config(resolved))
+    assert emit(webeiel_resolved) == dumps(derivation_config(webeiel_resolved))
+
+
+def test_the_writer_matches_json_dumps_on_fuzz_products(gis_definition, ecommerce_on_entities):
+    clean = 0
+    for definition in (gis_definition, ecommerce_on_entities):
+        draw = definition_clauses(definition)
+        for seed in range(100):
+            resolved = resolve(random_spec(random.Random(seed), draw), definition)
+            config = derivation_config(resolved)  # built with or without errors
+            assert _json(config, "\n") + "\n" == dumps(config), seed
+            if not resolved.errors:
+                clean += 1
+                assert emit(resolved) == dumps(config), seed
+    assert clean > 20
+
+
+@pytest.mark.parametrize("value", [
+    {"quote": '"', "backslash": "\\", "controls": "\x00\x01\x1f\x7f\b\f\n\r\t",
+     "separators": "\u2028\u2029", "accents": "é ñ ü", "astral": "\U0001f5fa \U00010000",
+     "lone surrogate": "\ud800", "slash": "a/b", "": ""},
+    {"floats": [-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 40.712, -74.125, 0.1]},
+    {"ints": [0, -1, 2 ** 70, True, False, None]},
+    {"empty list": [], "empty object": {}, "nested": [[], [{}], {"a": []}]},
+    {"b": 1, "a": 2, "B": 3, "é": 4, "\U0001f5fa": 5, "a b": 6},
+    ("tuple", ["list"], {"key": ("nested", "tuple")}),
+    [], {}, "top", 1.5, None,
+], ids=["strings", "floats", "ints", "empty", "key-order", "tuples",
+        "empty-list", "empty-object", "str", "float", "null"])
+def test_the_writer_matches_json_dumps_on_hand_built_values(value):
+    assert _json(value, "\n") + "\n" == dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", {"a": [frozenset()]},
+                                   {1: "int key"}, {("t",): "tuple key"}],
+                         ids=["set", "object", "bytes", "nested-frozenset", "int-key",
+                              "tuple-key"])
+def test_the_writer_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        _json(value, "\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), [float("-inf")]])
+def test_the_writer_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        _json(value, "\n")

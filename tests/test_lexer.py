@@ -1,5 +1,6 @@
 """The regex lexer against the character-at-a-time reference tokenizer, and
-the error precedence both parsers keep although they lex lazily."""
+the error precedence both parsers keep: a bad character anywhere in the
+source is the error reported."""
 
 import random
 
@@ -21,11 +22,16 @@ from generators import random_token_soup, reference_tokenize, scale_spec_text
 KEYWORD_SETS = pytest.mark.parametrize(
     "keywords", [SPEC_KEYWORDS, DEFINITION_KEYWORDS], ids=["spec", "definition"])
 
-EDGE_CASES = ["", "// x", "1..2 -3.5 1.x -", "x-1", "--1", "_y"]
+EDGE_CASES = ["", "// x", "1..2 -3.5 1.x -", "x-1", "--1", "_y",
+              "a\r\nb\rc\r\n", "x\r\n\r\n  y", "x // end", "x\n// end\n", "\n\n"]
 ALPHABET = 'aZ_09 \t\r\n-./*()[]{},;"é\x0b'
 # Without the characters that can make the lexer fail, so that about half the
 # random sources lex cleanly and are compared token by token.
 TAME = ALPHABET.translate({ord(c): None for c in '"é\x0b/_-'})
+
+
+def fields(error):
+    return error.message, error.line, error.column, error.start, error.end, error.expected
 
 
 def outcome(lex, source, keywords):
@@ -33,17 +39,20 @@ def outcome(lex, source, keywords):
     try:
         return [tuple(tok) for tok in lex(source, keywords)]
     except ParseError as exc:
-        return exc.message, exc.line, exc.column, exc.expected
+        return fields(exc)
 
 
 def streamed(source, keywords):
-    """The tokens a TokenStream hands out, up to and including EOF."""
+    """The tokens a TokenStream walks over, up to and including EOF, each
+    with the line and column its span works out on demand."""
     ts = TokenStream(source, keywords)
-    tokens = [ts.current]
-    while tokens[-1].kind != EOF:
+    tokens = []
+    while True:
+        kind, span = ts.kind, ts.span(ts.pos)
+        tokens.append((kind, ts.texts[ts.pos], span.line, span.column, span.start, span.end))
+        if kind == EOF:
+            return tokens
         ts.advance()
-        tokens.append(ts.current)
-    return tokens
 
 
 def random_sources(seed, count):
@@ -58,7 +67,7 @@ def random_sources(seed, count):
 def raised(call, source):
     with pytest.raises(ParseError) as exc:
         call(source)
-    return exc.value.message, exc.value.line, exc.value.column, exc.value.expected
+    return fields(exc.value)
 
 
 @KEYWORD_SETS
@@ -77,10 +86,10 @@ def test_tokens_match_the_reference(source, keywords):
 
 @KEYWORD_SETS
 def test_random_strings_lex_as_the_reference_does(keywords):
-    sources = random_sources(4, 3000)
+    sources = random_sources(4, 10000)
     failing = sum(isinstance(outcome(reference_tokenize, s, keywords), tuple)
                   for s in sources)
-    assert 1000 < failing < 2000
+    assert 3300 < failing < 6700
     for source in sources:
         expected = outcome(reference_tokenize, source, keywords)
         assert outcome(tokenize, source, keywords) == expected, repr(source)
@@ -93,7 +102,9 @@ def test_edge_case_tokens():
         ("NUMBER", "1"), (".", "."), ("IDENT", "x"), ("IDENT", "x"),
         ("NUMBER", "-1"), (EOF, "")]
     assert tokenize("// x", SPEC_KEYWORDS) == [(EOF, "", 1, 5, 4, 4)]
-    assert outcome(tokenize, "--1", SPEC_KEYWORDS) == ("unexpected character '-'", 1, 1, ())
+    assert outcome(tokenize, "--1", SPEC_KEYWORDS) == (
+        "unexpected character '-'", 1, 1, 0, 1, ())
+    assert tokenize("a\r\nb", SPEC_KEYWORDS)[1] == ("IDENT", "b", 2, 1, 3, 4)
 
 
 # -- error precedence -----------------------------------------------------------
@@ -108,6 +119,18 @@ def test_a_bad_character_beats_an_earlier_syntax_error():
     with pytest.raises(ParseError) as exc:
         parse_spl_definition("FEATUREMODEL { }\n// fine\n  @")
     assert str(exc.value) == "3:3: unexpected character '@'"
+    # raised before parsing starts, so no parser error is chained to it
+    assert exc.value.__context__ is None
+
+
+def test_a_bad_character_at_the_end_of_a_large_source_wins():
+    source = "CREATE FOO;\n" + scale_spec_text(50) + "@"
+    offset = len(source) - 1
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert fields(exc.value) == ("unexpected character '@'", source.count("\n") + 1,
+                                 offset - source.rfind("\n"), offset, offset + 1, ())
+    assert exc.value.__context__ is None
 
 
 @pytest.mark.parametrize("name, call, keywords", [

@@ -583,6 +583,32 @@ def test_explain_reports_mandatory_closure_steps():
         "closure(mandatory)", "mandatory child of W")
 
 
+def test_an_inert_local_line_is_a_warning_at_that_line(ecommerce_definition, ecommerce_source):
+    resolved = resolve_text("CREATE GIS X;", ecommerce_definition)
+    assert codes(resolved) == [("warning", "inert-local")]
+    [warning] = resolved.diagnostics
+    assert warning.source == "ecommerce.spl"
+    assert (warning.span.line, warning.span.column) == (41, 1)
+    assert warning.span.slice(ecommerce_source) == (
+        "LOCAL CategoryDisplay APPLIED TO catalog.Category;")
+
+
+def test_local_lines_on_placed_metaclasses_are_not_inert(webeiel_resolved):
+    assert "inert-local" not in {d.code for d in webeiel_resolved.diagnostics}
+    # plain layers are placed, so a local model applied to them gives them defaults
+    definition = parse_spl_definition(
+        "VIEWPOINT visualization (Layer);\n"
+        "FEATUREMODEL G {\n    OPTIONAL W\n}\n"
+        "FEATUREMODEL W {\n}\n"
+        "LOCAL W APPLIED TO visualization.Layer;\n")
+    resolved = resolve_text(
+        "CREATE ENTITY E (id Long IDENTIFIER);\n"
+        "CREATE GEOJSON LAYER l AS L FOR E WITH STYLES (s);\n"
+        "CREATE GIS X;", definition)
+    assert "inert-local" not in {d.code for d in resolved.diagnostics}
+    assert "visualization.l" in resolved.effective
+
+
 def test_explain_rejects_uncovered_elements(webeiel_resolved):
     with pytest.raises(UnknownElement):
         explain(webeiel_resolved, "data.Nope")
@@ -605,7 +631,7 @@ FUZZ_REACHES = {
     "gis_definition": {"clean", "bound", "global-default", "closure(parent)",
                        "closure(requires)", "unknown-feature",
                        "invalid-global-selection"},
-    "ecommerce_definition": {"no-metaclass", "no-local-model"},
+    "ecommerce_definition": {"no-metaclass", "no-local-model", "inert-local"},
     "ecommerce_on_entities": {"clean", "bound", "global-default", "closure(parent)",
                               "invalid-selection", "no-local-model"},
 }

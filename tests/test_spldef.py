@@ -4,7 +4,10 @@ import pytest
 
 from localfeatures.errors import (
     DanglingConstraintEndpoint,
+    DuplicateFeatureName,
+    GroupTooSmall,
     ParseError,
+    SelfConstraint,
     TwinMismatch,
 )
 from localfeatures.features import OR, XOR
@@ -209,6 +212,58 @@ def test_local_copy_must_mirror_the_global_subtree():
     source = source.replace("DEFAULTS (A);", "DEFAULTS ();")
     with pytest.raises(TwinMismatch, match="children"):
         parse_spl_definition(source)
+
+
+TWIN_CONSTRAINTS = """\
+FEATUREMODEL G {
+    OPTIONAL W {
+        OPTIONAL A
+        OPTIONAL B
+    }
+    REQUIRES A B
+}
+
+  FEATUREMODEL W {
+    OPTIONAL A
+    OPTIONAL B
+}
+LOCAL W APPLIED TO data.Entity;
+VIEWPOINT data (Entity);
+"""
+
+
+@pytest.mark.parametrize("source, error, line, column, blamed", [
+    ("FEATUREMODEL R {\n    OPTIONAL A\n    OPTIONAL A\n}\n", DuplicateFeatureName, 3, 14, "A"),
+    ("FEATUREMODEL R {\n  OPTIONAL R\n}\n", DuplicateFeatureName, 2, 12, "R"),
+    ("FEATUREMODEL R {\n  OPTIONAL A { OPTIONAL B }\n  OPTIONAL B { OPTIONAL A }\n}\n",
+     DuplicateFeatureName, 3, 25, "A"),
+    ("FEATUREMODEL R XOR {\n  A\n}\n", GroupTooSmall, 1, 14, "R"),
+    ("FEATUREMODEL R {\n  OPTIONAL A XOR { B }\n}\n", GroupTooSmall, 2, 12, "A"),
+    ("FEATUREMODEL R {\n  OPTIONAL A\n  OPTIONAL A OR { B }\n}\n", GroupTooSmall, 3, 12, "A"),
+    ("FEATUREMODEL R {\n  OPTIONAL A\n  REQUIRES A Nope\n}\n",
+     DanglingConstraintEndpoint, 3, 14, "Nope"),
+    ("FEATUREMODEL R {\n  REQUIRES Nope A\n  OPTIONAL A\n}\n",
+     DanglingConstraintEndpoint, 2, 12, "Nope"),
+    ("FEATUREMODEL R {\n  OPTIONAL A\n  EXCLUDES A A\n}\n", SelfConstraint, 3, 12, "A"),
+    ("FEATUREMODEL G {\n  OPTIONAL W\n}\nFEATUREMODEL W XOR {\n  A\n}\n"
+     "LOCAL W APPLIED TO d.E;\nVIEWPOINT d (E);", GroupTooSmall, 4, 14, "W"),
+    (TWIN_CONSTRAINTS, TwinMismatch, 9, 3, "FEATUREMODEL"),
+    (TWIN_CONSTRAINTS.replace("OPTIONAL B\n}\nLOCAL", "OPTIONAL C\n}\nLOCAL"),
+     TwinMismatch, 9, 3, "FEATUREMODEL"),
+    (TWIN_CONSTRAINTS.replace("FEATUREMODEL G {\n    OPTIONAL W", "FEATUREMODEL G {\n    OPTIONAL V"),
+     TwinMismatch, 9, 3, "FEATUREMODEL"),
+], ids=["duplicate", "duplicate-root", "duplicate-nested", "small-root-group", "small-group",
+        "small-group-of-a-duplicate", "dangling-rhs", "dangling-lhs", "self", "local-model",
+        "twin-constraints", "twin-names", "twin-without-copy"])
+def test_model_errors_are_spanned_where_they_are_written(source, error, line, column, blamed):
+    """Errors found while building the models keep their type and message,
+    and carry the span of the feature, constraint endpoint or local
+    FEATUREMODEL keyword they are about."""
+    with pytest.raises(error) as exc:
+        parse_spl_definition(source)
+    span = exc.value.span
+    assert (span.line, span.column) == (line, column)
+    assert span.slice(source) == blamed
 
 
 # -- body grammar ------------------------------------------------------------------
