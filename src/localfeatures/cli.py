@@ -156,12 +156,13 @@ def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
 
 
 def _load(args) -> ResolvedProduct | int:
-    """Parse and resolve both inputs; an int is an exit code to return."""
+    """Parse and resolve both inputs and print the diagnostics; an int is an
+    exit code to return."""
     texts = _read_inputs(args.spec, args.spl)
     if texts is None:
         return USAGE_ERROR
     spec_text, spl_text = texts
-    fmt = getattr(args, "format", "text")
+    fmt = args.format
     try:
         spec = parse(spec_text, filename=args.spec)
     except ParseError as exc:
@@ -169,7 +170,9 @@ def _load(args) -> ResolvedProduct | int:
     definition = _load_definition(spl_text, args.spl, fmt)
     if isinstance(definition, int):
         return definition
-    return resolve(spec, definition)
+    resolved = resolve(spec, definition)
+    print_diagnostics(resolved.diagnostics, fmt)
+    return resolved
 
 
 def _load_definition(text: str, path: str, fmt: str) -> SplDefinition | int:
@@ -209,7 +212,6 @@ def cmd_check(args) -> int:
     resolved = _load(args)
     if isinstance(resolved, int):
         return resolved
-    print_diagnostics(resolved.diagnostics, args.format)
     errors = len(resolved.errors)
     warnings = len(resolved.warnings)
     print(f"{errors} errors, {warnings} warnings")
@@ -220,7 +222,6 @@ def cmd_emit(args) -> int:
     resolved = _load(args)
     if isinstance(resolved, int):
         return resolved
-    print_diagnostics(resolved.diagnostics, args.format)
     if resolved.errors:
         return 1
     text = emit(resolved)
@@ -253,7 +254,6 @@ def cmd_explain(args) -> int:
     resolved = _load(args)
     if isinstance(resolved, int):
         return resolved
-    print_diagnostics(resolved.diagnostics, args.format)
     try:
         rows = explain(resolved, args.element)
     except UnknownElement as exc:
@@ -271,14 +271,13 @@ def cmd_explain(args) -> int:
     print(f"{'FEATURE':<{width_name}}  {'ORIGIN':<{width_origin}}  SOURCE")
     for feature, origin, where in table:
         print(f"{feature:<{width_name}}  {origin:<{width_origin}}  {where}")
-    return 0
+    return 1 if resolved.errors else 0
 
 
 def cmd_features(args) -> int:
     resolved = _load(args)
     if isinstance(resolved, int):
         return resolved
-    print_diagnostics(resolved.diagnostics, args.format)
     if resolved.errors:
         return 1
     for name in resolved.included:

@@ -25,7 +25,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, repeat
 from operator import add, sub
-from typing import NamedTuple, NoReturn
+from typing import Iterator, NamedTuple, NoReturn
 
 from .errors import ParseError
 from .syntax import Span
@@ -136,7 +136,13 @@ def tokenize(source: str, keywords: frozenset[str]) -> list[Token]:
 class TokenStream:
     """Cursor over the tokens of a source, with positioned errors on
     mismatch. A token is its index; texts holds the token texts, and kind is
-    the current token's kind."""
+    the current token's kind.
+
+    Besides single tokens (expect, match), it reads the productions both
+    parsers share: a fixed run of keywords (expect_run), a parenthesised
+    comma list of items the caller reads (parenthesised), and a possibly
+    empty parenthesised list of names (names). Each fails as expect does, at
+    the first token that does not fit."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
         self._kinds, self.texts, self._ends = lex(source, keywords)
@@ -173,6 +179,36 @@ class TokenStream:
                 self.kind = self._kinds[pos + 1]
             return pos
         self.fail(*kinds)
+
+    def expect_run(self, *kinds: str) -> int:
+        """The first of a run of tokens, one of each of kinds in turn, moving
+        past them all."""
+        first = self.pos
+        for kind in kinds:
+            self.expect(kind)
+        return first
+
+    def parenthesised(self) -> Iterator[None]:
+        """( item {, item} ): yields once for each item, which the caller
+        reads from the stream before resuming."""
+        self.expect("(")
+        yield
+        while self.match(","):
+            yield
+        self.expect(")")
+
+    def names(self) -> tuple[str, ...]:
+        """The texts of ( [IDENT {, IDENT}] ). Feature clauses make this the
+        commonest list, so it loops by itself rather than resuming
+        parenthesised and a generator expression for each name."""
+        self.expect("(")
+        names = []
+        if self.kind != ")":
+            names.append(self.texts[self.expect(IDENT)])
+            while self.match(","):
+                names.append(self.texts[self.expect(IDENT)])
+        self.expect(")")
+        return tuple(names)
 
     def fail(self, *expected: str) -> NoReturn:
         kind = self.kind

@@ -4,6 +4,32 @@ parse() turns source text into a ProductSpec, raising ParseError (or a
 subclass) with a 1-based line/column and the expected token kinds on the
 first syntactic problem. Name resolution does not happen here: unknown
 property types are parsed as relationship targets and judged by the resolver.
+
+Grammar, one declaration per statement. ( x, ... ) is a non-empty comma
+list (TokenStream.parenthesised), and names is a possibly empty list of
+IDENTs in parentheses (TokenStream.names). Flags come in any order, each at
+most once; a display name is one or more IDENT or NUMBER words; a bound is
+a whole number, and a high bound may be *; x and y are finite numbers.
+
+    CREATE ENTITY <name> ( <property>, ... ) [features] ;
+    CREATE <source kind> LAYER <name> AS <display name> FOR <entity>
+        WITH STYLES ( <style> [DEFAULT], ... ) ;
+    CREATE MAP <name> AS <display name> WITH LAYERS ( <layer ref>, ... )
+        {, WITH CENTER [ [<x>, <y>], [<x>, <y>] ] | features} ;
+    CREATE GIS <name> [features] ;
+
+    property:  <name> <type> [IDENTIFIER] [DISPLAY_STRING] [REQUIRED]
+               [RELATIONSHIP ( <low>..<high>, <low>..<high> ) [BIDIRECTIONAL]
+                | RELATIONSHIP MAPPED_BY <property>]
+    layer ref: <layer> [IS_BASE_LAYER] [DEFAULT_BASE_LAYER] [features]
+    features:  WITH FEATURES names
+
+A specification has exactly one CREATE GIS, and a map at most one CENTER
+and one WITH FEATURES. The parser also rejects two IDENTIFIER or two
+DISPLAY_STRING properties in one entity, RELATIONSHIP on a built-in type,
+two DEFAULT styles in one layer, and a map without exactly one
+IS_BASE_LAYER reference or with a DEFAULT_BASE_LAYER one that is not
+IS_BASE_LAYER.
 """
 
 from __future__ import annotations
@@ -33,7 +59,6 @@ from .syntax import (
     StyleRef,
 )
 
-_DISPLAY_NAME_STOPPERS = ("FOR", "WITH", ",", ")", ";", EOF)
 _PROPERTY_FLAGS = (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING, FLAG_REQUIRED)
 _LAYER_REF_FLAGS = (FLAG_IS_BASE_LAYER, FLAG_DEFAULT_BASE_LAYER)
 
@@ -102,11 +127,7 @@ class _Parser:
     def entity_decl(self, start: int) -> EntityDecl:
         self.ts.expect("ENTITY")
         name = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect("(")
-        properties = [self.property_decl()]
-        while self.ts.match(","):
-            properties.append(self.property_decl())
-        self.ts.expect(")")
+        properties = [self.property_decl() for _ in self.ts.parenthesised()]
         features = self.feature_clause()
         self.ts.expect(";")
 
@@ -176,49 +197,37 @@ class _Parser:
         display = self.display_name()
         self.ts.expect("FOR")
         entity = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect("WITH")
-        self.ts.expect("STYLES")
-        self.ts.expect("(")
-        styles = [self.style_ref()]
-        while self.ts.match(","):
-            styles.append(self.style_ref())
-        close = self.ts.expect(")")
+        self.ts.expect_run("WITH", "STYLES")
+        styles = [self.style_ref() for _ in self.ts.parenthesised()]
         defaults = [s for s in styles if s.is_default]
         if len(defaults) > 1:
-            raise DuplicateFlag.at(
-                f"layer {name!r} marks more than one style DEFAULT", self.ts.span(close))
+            raise DuplicateFlag.at(f"layer {name!r} marks more than one style DEFAULT",
+                                   self.ts.span(self.ts.pos - 1))
         self.ts.expect(";")
         return LayerDecl(name, display, entity, source_kind, tuple(styles),
                          self.ts.span_from(start))
 
     def style_ref(self) -> StyleRef:
-        name = self.texts[self.ts.expect(IDENT)]
-        is_default = self.ts.match("DEFAULT")
-        return StyleRef(name, is_default)
+        return StyleRef(self.texts[self.ts.expect(IDENT)], self.ts.match("DEFAULT"))
 
     def map_decl(self, start: int) -> MapDecl:
         self.ts.expect("MAP")
         name = self.texts[self.ts.expect(IDENT)]
         self.ts.expect("AS")
         display = self.display_name()
-        self.ts.expect("WITH")
-        self.ts.expect("LAYERS")
-        self.ts.expect("(")
-        refs = [self.layer_ref()]
-        while self.ts.match(","):
-            refs.append(self.layer_ref())
-        close = self.ts.expect(")")
+        self.ts.expect_run("WITH", "LAYERS")
+        refs = [self.layer_ref() for _ in self.ts.parenthesised()]
+        close = self.ts.pos - 1
 
         center: BoundingBox | None = None
         features: FeatureClause | None = None
         while True:
             if self.ts.at(","):
-                self.ts.advance()
-                self.ts.expect("WITH")
-                tok = self.ts.expect("CENTER")
+                self.ts.expect_run(",", "WITH", "CENTER")
                 if center is not None:
-                    raise ParseError.at("map declares CENTER twice", self.ts.span(tok))
-                center = self.bounding_box()
+                    raise ParseError.at("map declares CENTER twice",
+                                        self.ts.span(self.ts.pos - 1))
+                center = BoundingBox(self.pair(lambda: self.pair(self.coordinate)))
             elif self.ts.at("WITH"):
                 if features is not None:
                     raise DuplicateFlag.at("map declares WITH FEATURES twice",
@@ -271,16 +280,8 @@ class _Parser:
     def feature_clause(self) -> FeatureClause | None:
         if not self.ts.at("WITH"):
             return None
-        start = self.ts.advance()
-        self.ts.expect("FEATURES")
-        self.ts.expect("(")
-        names: list[str] = []
-        if not self.ts.at(")"):
-            names.append(self.texts[self.ts.expect(IDENT)])
-            while self.ts.match(","):
-                names.append(self.texts[self.ts.expect(IDENT)])
-        self.ts.expect(")")
-        return FeatureClause(tuple(names), self.ts.span_from(start))
+        start = self.ts.expect_run("WITH", "FEATURES")
+        return FeatureClause(self.ts.names(), self.ts.span_from(start))
 
     def display_name(self) -> str:
         words: list[str] = []
@@ -290,21 +291,14 @@ class _Parser:
             self.ts.fail("display name")
         return " ".join(words)
 
-    def bounding_box(self) -> BoundingBox:
+    def pair(self, item) -> tuple:
+        """[ item, item ]"""
         self.ts.expect("[")
-        first = self.coordinate_pair()
+        first = item()
         self.ts.expect(",")
-        second = self.coordinate_pair()
+        second = item()
         self.ts.expect("]")
-        return BoundingBox((first, second))
-
-    def coordinate_pair(self) -> tuple[float, float]:
-        self.ts.expect("[")
-        x = self.coordinate()
-        self.ts.expect(",")
-        y = self.coordinate()
-        self.ts.expect("]")
-        return (x, y)
+        return (first, second)
 
     def coordinate(self) -> float:
         tok = self.ts.expect(NUMBER)

@@ -189,15 +189,13 @@ class _DefinitionParser:
         name = self.ts.expect(IDENT)
         if self.texts[name] in viewpoints:
             raise ParseError.at(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
-        self.ts.expect("(")
-        metaclasses = [self.texts[self.ts.expect(IDENT)]]
-        while self.ts.match(","):
+        metaclasses: list[str] = []
+        for _ in self.ts.parenthesised():
             metaclass = self.ts.expect(IDENT)
             if self.texts[metaclass] in metaclasses:
                 raise ParseError.at(f"duplicate metaclass {self.texts[metaclass]!r}",
                                     self.ts.span(metaclass))
             metaclasses.append(self.texts[metaclass])
-        self.ts.expect(")")
         self.ts.expect(";")
         viewpoints[self.texts[name]] = tuple(metaclasses)
 
@@ -210,21 +208,8 @@ class _DefinitionParser:
         block.names[self.texts[name]] = [name]
         group = self.group_marker()
         self.ts.expect("{")
-        children: list[Feature] = []
         constraints: list[CrossTreeConstraint] = []
-        while True:
-            if self.ts.at("REQUIRES", "EXCLUDES"):
-                constraints.append(self.constraint(block))
-            elif group is None and self.ts.at("MANDATORY", "OPTIONAL"):
-                children.append(self.feature_node(block, kinded=True))
-            elif group is not None and self.ts.at(IDENT):
-                children.append(self.feature_node(block, kinded=False))
-            else:
-                break
-        if group is None:
-            self.ts.expect("}", "MANDATORY", "OPTIONAL", "REQUIRES", "EXCLUDES")
-        else:
-            self.ts.expect("}", IDENT, "REQUIRES", "EXCLUDES")
+        children = self.feature_body(block, group, 1, constraints)
         block.root = self.feature(name, MANDATORY, group, False, children, block)
         block.constraints = tuple(constraints)
         blocks[block.root.name] = block
@@ -235,32 +220,35 @@ class _DefinitionParser:
             block.small_groups.setdefault(self.texts[name], name)
         return Feature(self.texts[name], kind, group, abstract, tuple(children))
 
-    def feature_node(self, block: _Block, kinded: bool, depth: int = 1) -> Feature:
+    def feature_body(self, block: _Block, group: str | None, depth: int,
+                     constraints: list[CrossTreeConstraint] | None = None) -> list[Feature]:
+        """The features, at depth, up to the closing brace of a feature or
+        model whose group is group; constraints too when given a list to
+        add them to. A group's children are written bare."""
+        starts = ("MANDATORY", "OPTIONAL") if group is None else (IDENT,)
+        if constraints is not None:
+            starts += ("REQUIRES", "EXCLUDES")
+        children: list[Feature] = []
+        while self.ts.kind in starts:
+            if self.ts.at("REQUIRES", "EXCLUDES"):
+                constraints.append(self.constraint(block))
+            else:
+                children.append(self.feature_node(block, depth))
+        self.ts.expect("}", *starts)
+        return children
+
+    def feature_node(self, block: _Block, depth: int) -> Feature:
         if depth > MAX_FEATURE_DEPTH:
             raise ParseError.at(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
                                 self.ts.span(self.ts.pos))
-        if kinded:
-            kind = MANDATORY if self.ts.at("MANDATORY") else OPTIONAL
-            self.ts.expect("MANDATORY", "OPTIONAL")
-        else:
-            kind = OPTIONAL
+        kind = MANDATORY if self.ts.at("MANDATORY") else OPTIONAL
+        if not self.ts.at(IDENT):  # MANDATORY or OPTIONAL; a group's children are bare
+            self.ts.advance()
         name = self.ts.expect(IDENT)
         block.names.setdefault(self.texts[name], []).append(name)
         group = self.group_marker()
         abstract = self.ts.match("ABSTRACT")
-        children: list[Feature] = []
-        if self.ts.match("{"):
-            while True:
-                if group is None and self.ts.at("MANDATORY", "OPTIONAL"):
-                    children.append(self.feature_node(block, kinded=True, depth=depth + 1))
-                elif group is not None and self.ts.at(IDENT):
-                    children.append(self.feature_node(block, kinded=False, depth=depth + 1))
-                else:
-                    break
-            if group is None:
-                self.ts.expect("}", "MANDATORY", "OPTIONAL")
-            else:
-                self.ts.expect("}", IDENT)
+        children = self.feature_body(block, group, depth + 1) if self.ts.match("{") else []
         return self.feature(name, kind, group, abstract, children, block)
 
     def group_marker(self) -> str | None:
@@ -283,8 +271,7 @@ class _DefinitionParser:
         names."""
         start = self.ts.expect("LOCAL")
         root = self.ts.expect(IDENT)
-        self.ts.expect("APPLIED")
-        self.ts.expect("TO")
+        self.ts.expect_run("APPLIED", "TO")
         viewpoint = self.ts.expect(IDENT)
         self.ts.expect(".")
         metaclass = self.ts.expect(IDENT)
@@ -293,15 +280,9 @@ class _DefinitionParser:
 
     def defaults_decl(self) -> tuple[tuple[str, ...], Span]:
         start = self.ts.expect("DEFAULTS")
-        self.ts.expect("(")
-        names: list[str] = []
-        if not self.ts.at(")"):
-            names.append(self.texts[self.ts.expect(IDENT)])
-            while self.ts.match(","):
-                names.append(self.texts[self.ts.expect(IDENT)])
-        self.ts.expect(")")
+        names = self.ts.names()
         self.ts.expect(";")
-        return tuple(names), self.ts.span_from(start)
+        return names, self.ts.span_from(start)
 
 
 # ---------------------------------------------------------------------------

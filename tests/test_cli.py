@@ -313,6 +313,19 @@ def test_explain_lists_bound_features(files, capsys):
     assert all("webeiel.gis:" in line for line in lines[1:])
 
 
+def test_explain_prints_the_table_and_fails_after_error_diagnostics(files, capsys):
+    spec = files / "webeiel.gis"
+    main(["explain", str(spec), "data.Hotel", "--spl", str(files / "gis.spl")])
+    clean, _ = capsys.readouterr()
+    broken = write(files, "broken.gis", spec.read_text(encoding="utf-8").replace(
+        "FormAccess, Filterable);", "FormAccess, Filterable, Sidebar);", 1))
+    rc = main(["explain", broken, "data.Hotel", "--spl", str(files / "gis.spl")])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert re.fullmatch(r".*broken\.gis:6:3: error\[unknown-feature\]: .*'Sidebar'.*\n", err)
+    assert out == clean.replace(str(spec), broken)
+
+
 def test_explain_rejects_unknown_elements(files, capsys):
     rc = main(["explain", str(files / "webeiel.gis"), "data.Nope",
                "--spl", str(files / "gis.spl")])

@@ -1,8 +1,9 @@
 """Every ParseError carries the character offsets of the text it blames: the
 slice source[start:end] is that text, and (line, column) is the position of
-start."""
+start. Every field of every error is pinned by a recorded fixture."""
 
 import ast
+import json
 import random
 import re
 
@@ -11,7 +12,7 @@ import pytest
 from localfeatures import parse, parse_spl_definition
 from localfeatures.errors import LocalFeaturesError, ParseError
 
-from conftest import packaged
+from conftest import FIXTURES, packaged
 from generators import random_token_soup
 
 PARSERS = pytest.mark.parametrize(
@@ -96,3 +97,41 @@ def test_each_error_slices_what_it_blames(source, call, blamed):
     error = raised(call, source)
     check_offsets(error, source)
     assert source[error.start:error.end] == blamed
+
+
+# Per parser: random token soups (spec words from random_token_soup, and
+# definition words) with their outcomes, and token-level mutations of a
+# packaged source stored as (offset, deleted length, inserted text, outcome).
+# An outcome is (type, message, line, column, expected, start, end), or null
+# for a source that parses. A model error found while building what was read
+# records str() and its span, with no expected kinds.
+PINNED = json.loads((FIXTURES / "parse_errors.json").read_text(encoding="utf-8"))
+
+
+def outcome(call, source):
+    try:
+        call(source)
+    except ParseError as error:
+        return [type(error).__name__, error.message, error.line, error.column,
+                list(error.expected), error.start, error.end]
+    except LocalFeaturesError as error:
+        span = error.span
+        return [type(error).__name__, str(error), span.line, span.column, [],
+                span.start, span.end]
+    return None
+
+
+@pytest.mark.parametrize("key, call", [
+    ("spec", parse),
+    ("definition", parse_spl_definition),
+])
+def test_errors_match_the_pinned_record(key, call):
+    pinned = PINNED[key]
+    original = packaged(pinned["base"])
+    cases = pinned["soups"] + [
+        [original[:offset] + inserted + original[offset + deleted:], want]
+        for offset, deleted, inserted, want in pinned["mutations"]]
+    assert len(cases) >= 500
+    mismatches = [(source, want, got) for source, want in cases
+                  if (got := outcome(call, source)) != want]
+    assert not mismatches, f"{len(mismatches)} differ; first: {mismatches[0]}"

@@ -156,6 +156,12 @@ def test_duplicate_metaclass_rejected_at_the_second_name():
     assert (exc.value.line, exc.value.column) == (1, 25)
 
 
+def test_duplicate_metaclass_rejected_before_a_later_syntax_error_in_its_list():
+    with pytest.raises(ParseError, match="duplicate metaclass 'Entity'") as exc:
+        parse_spl_definition("VIEWPOINT data (Entity, Entity, Map, ;\n")
+    assert (exc.value.line, exc.value.column) == (1, 25)
+
+
 def test_duplicate_feature_model_rejected():
     with pytest.raises(ParseError, match="duplicate feature model") as exc:
         parse_spl_definition("FEATUREMODEL R {\n}\nFEATUREMODEL R {\n}\n")
