@@ -229,7 +229,8 @@ def cmd_emit(args) -> int:
     try:
         _write_atomically(out, text)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # name the requested path, not the temporary file written beside it
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
     print(out)
     return 0
@@ -240,6 +241,10 @@ def _write_atomically(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

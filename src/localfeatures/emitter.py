@@ -6,11 +6,14 @@ sorted at every level, arrays in declaration order except feature lists
 same resolved product are byte-identical. Emission refuses while any
 error-severity diagnostic is present.
 
-The text is exactly what json.dumps(config, ensure_ascii=False, indent=2,
-sort_keys=True) writes, plus a final newline. json.dumps takes its pure-Python
-encoder whenever it indents, so emit() writes the document itself: a
-recursive writer that quotes strings with the C json.encoder.encode_basestring
-and joins each container once.
+The text is exactly what json.dumps(derivation_config(resolved),
+ensure_ascii=False, indent=2, sort_keys=True) writes, plus a final newline;
+the tests keep that call as the oracle. emit() builds no such tree. Straight
+from the spec and the resolved product, it fills templates of the document's
+fixed shape, keys in sorted order and each record indented for its depth,
+and quotes strings with the C json.encoder.encode_basestring. Elements share
+a handful of effective configuration objects: each distinct one is sorted
+and written once, and every element then costs one line.
 
 verify_schema() checks a JSON text against the closed derivation-config
 schema shipped with the package. It needs no third-party validator: on
@@ -23,9 +26,9 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from importlib import resources
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring as _quote
 from math import isfinite
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import UnresolvedErrors
 from .resolver import ResolvedProduct
@@ -41,46 +44,151 @@ def emit(resolved: ResolvedProduct) -> str:
         raise UnresolvedErrors(
             f"cannot emit: {len(errors)} error diagnostics pending, first: "
             f"{errors[0].message}")
-    return _json(derivation_config(resolved), "\n") + "\n"
+    return _write(resolved)
 
 
-def _json(value, newline: str) -> str:
-    """value as JSON, laid out as json.dumps(value, ensure_ascii=False,
-    indent=2, sort_keys=True) lays it out; newline is a line break plus the
-    indent of the line value starts on. Objects need str keys. Raises
-    TypeError for a value json.dumps cannot serialize and ValueError for a
-    float that is not finite."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring(key)}: {_json(item, inner)}")
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_json(item, inner) for item in value])
-                + newline + "]")
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not isfinite(value):
-            raise ValueError(f"{value!r} is not JSON")
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# Each template is laid out at the depth its value sits at in the document.
+# _block() takes the indent of the line its value starts on.
+
+_DOCUMENT = """{
+  "bindings": %s,
+  "data": {
+    "entities": %s
+  },
+  "features": %s,
+  "product": %s,
+  "schemaVersion": %d,
+  "visualization": {
+    "layers": %s,
+    "maps": %s
+  }
+}
+"""
+
+
+def _write(resolved: ResolvedProduct) -> str:
+    """emit() without the error check. Raises ValueError for a coordinate
+    that is not finite and TypeError for a name that is not a str."""
+    spec = resolved.spec
+    written: dict[int, str] = {}  # id of a shared configuration -> its JSON
+    bindings = []
+    effective = resolved.effective
+    for element in sorted(effective):
+        config = effective[element]
+        text = written.get(id(config))
+        if text is None:
+            text = written[id(config)] = _strings(sorted(config), 4)
+        bindings.append(f"{_quote(element)}: {text}")
+    return _DOCUMENT % (
+        _block("{}", bindings, 2),
+        _block("[]", [_write_entity(e) for e in spec.entities], 4),
+        _strings(resolved.included, 2),
+        _quote(spec.product.name),
+        SCHEMA_VERSION,
+        _block("[]", [_write_layer(l) for l in spec.layers], 4),
+        _block("[]", [_write_map(m) for m in spec.maps], 4))
+
+
+def _block(brackets: str, items: list[str], indent: int) -> str:
+    """A JSON array or object of written items."""
+    if not items:
+        return brackets
+    newline = "\n" + " " * indent
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _strings(values: Iterable[str], indent: int) -> str:
+    return _block("[]", [_quote(v) for v in values], indent)
+
+
+def _boolean(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _number(value: float) -> str:
+    if not isfinite(value):
+        raise ValueError(f"{value!r} is not JSON")
+    return float.__repr__(value)
+
+
+_ENTITY = """{
+        "name": %s,
+        "properties": %s
+      }"""
+_PROPERTY = """{
+            "flags": %s,
+            "name": %s,%s
+            "type": %s
+          }"""
+_MAPPED_BY = """
+            "relationship": {
+              "mappedBy": %s
+            },"""
+_CARDINALITIES = """
+            "relationship": {
+              "bidirectional": %s,
+              "cardinalities": %s
+            },"""
+
+
+def _write_entity(decl: EntityDecl) -> str:
+    properties = [_write_property(p) for p in decl.properties]
+    return _ENTITY % (_quote(decl.name), _block("[]", properties, 8))
+
+
+def _write_property(prop: PropertyDecl) -> str:
+    rel = prop.relationship
+    if rel is None:
+        relationship = ""
+    elif rel.mapped_by is not None:
+        relationship = _MAPPED_BY % _quote(rel.mapped_by)
+    else:
+        relationship = _CARDINALITIES % (
+            _boolean(rel.bidirectional), _strings([str(c) for c in rel.cardinalities], 14))
+    return _PROPERTY % (_strings(prop.flags, 12), _quote(prop.name), relationship,
+                        _quote(prop.type_name))
+
+
+_LAYER = """{
+        "displayName": %s,
+        "entity": %s,
+        "name": %s,
+        "source": %s,
+        "styles": %s
+      }"""
+_STYLE = """{
+            "default": %s,
+            "name": %s
+          }"""
+
+
+def _write_layer(decl: LayerDecl) -> str:
+    styles = [_STYLE % (_boolean(s.is_default), _quote(s.name)) for s in decl.styles]
+    return _LAYER % (_quote(decl.display_name), _quote(decl.entity), _quote(decl.name),
+                     _quote(decl.source_kind), _block("[]", styles, 8))
+
+
+_MAP = """{%s
+        "displayName": %s,
+        "layers": %s,
+        "name": %s
+      }"""
+_CENTER = """
+        "center": %s,"""
+_LAYER_REF = """{
+            "flags": %s,
+            "layer": %s
+          }"""
+
+
+def _write_map(decl: MapDecl) -> str:
+    center = ""
+    if decl.center is not None:
+        pairs = [_block("[]", [_number(x) for x in pair], 10) for pair in decl.center.corners]
+        center = _CENTER % _block("[]", pairs, 8)
+    refs = [_LAYER_REF % (_strings(r.flags, 12), _quote(r.name)) for r in decl.layers]
+    return _MAP % (center, _quote(decl.display_name), _block("[]", refs, 8), _quote(decl.name))
 
 
 def derivation_config(resolved: ResolvedProduct) -> dict:

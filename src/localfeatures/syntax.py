@@ -8,6 +8,7 @@ node's span slices exactly the statement text out of the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 BUILTIN_TYPES = frozenset({
     "Long", "Integer", "Double", "String", "Boolean", "Date",
@@ -21,9 +22,10 @@ FLAG_IS_BASE_LAYER = "IS_BASE_LAYER"
 FLAG_DEFAULT_BASE_LAYER = "DEFAULT_BASE_LAYER"
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open character range plus the 1-based position of its start."""
+class Span(NamedTuple):
+    """Half-open character range plus the 1-based position of its start. A
+    tuple, so it is immutable and hashable, and cheap to build: a parse
+    makes one per declaration, clause and definition line."""
 
     start: int
     end: int

@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -270,11 +272,27 @@ def test_emit_honors_out(files, capsys):
     assert json.loads(target.read_text(encoding="utf-8"))["product"] == "WebEIEL"
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_emit_gives_the_file_the_mode_open_would(files, capsys, umask, mode):
+    target = files / "custom.json"
+    old = os.umask(umask)
+    try:
+        rc = main(["emit", str(files / "webeiel.gis"), "--spl", str(files / "gis.spl"),
+                   "--out", str(target)])
+    finally:
+        os.umask(old)
+    assert rc == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
 def test_emit_refuses_unwritable_directories(files, capsys):
+    target = str(files / "missing" / "x.json")
     rc = main(["emit", str(files / "webeiel.gis"), "--spl", str(files / "gis.spl"),
-               "--out", str(files / "missing" / "x.json")])
+               "--out", target])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert ".emit-" not in err
 
 
 def test_emit_leaves_no_file_behind_on_errors(files, capsys, monkeypatch):

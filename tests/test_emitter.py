@@ -8,8 +8,22 @@ import sys
 import pytest
 
 from localfeatures import emit, parse, resolve, verify_schema
-from localfeatures.emitter import SCHEMA_VERSION, _json, derivation_config
+from localfeatures.emitter import SCHEMA_VERSION, _write, derivation_config
 from localfeatures.errors import UnresolvedErrors
+from localfeatures.resolver import ResolvedProduct
+from localfeatures.syntax import (
+    BoundingBox,
+    Cardinality,
+    EntityDecl,
+    LayerDecl,
+    LayerRef,
+    MapDecl,
+    ProductDecl,
+    ProductSpec,
+    PropertyDecl,
+    RelationshipSpec,
+    StyleRef,
+)
 
 from generators import definition_clauses, random_spec, scale_spec_text
 
@@ -219,45 +233,129 @@ def test_emit_writes_what_json_dumps_writes(webeiel_resolved, gis_definition):
 
 
 def test_the_writer_matches_json_dumps_on_fuzz_products(gis_definition, ecommerce_on_entities):
-    clean = 0
+    clean = dirty = 0
     for definition in (gis_definition, ecommerce_on_entities):
         draw = definition_clauses(definition)
         for seed in range(100):
             resolved = resolve(random_spec(random.Random(seed), draw), definition)
-            config = derivation_config(resolved)  # built with or without errors
-            assert _json(config, "\n") + "\n" == dumps(config), seed
-            if not resolved.errors:
+            expected = dumps(derivation_config(resolved))  # with or without errors
+            assert _write(resolved) == expected, seed
+            if resolved.errors:
+                dirty += 1
+            else:
                 clean += 1
-                assert emit(resolved) == dumps(config), seed
-    assert clean > 20
+                assert emit(resolved) == expected, seed
+    assert clean > 20 and dirty > 20
 
 
-@pytest.mark.parametrize("value", [
-    {"quote": '"', "backslash": "\\", "controls": "\x00\x01\x1f\x7f\b\f\n\r\t",
-     "separators": "\u2028\u2029", "accents": "é ñ ü", "astral": "\U0001f5fa \U00010000",
-     "lone surrogate": "\ud800", "slash": "a/b", "": ""},
-    {"floats": [-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, 40.712, -74.125, 0.1]},
-    {"ints": [0, -1, 2 ** 70, True, False, None]},
-    {"empty list": [], "empty object": {}, "nested": [[], [{}], {"a": []}]},
-    {"b": 1, "a": 2, "B": 3, "é": 4, "\U0001f5fa": 5, "a b": 6},
-    ("tuple", ["list"], {"key": ("nested", "tuple")}),
-    [], {}, "top", 1.5, None,
-], ids=["strings", "floats", "ints", "empty", "key-order", "tuples",
-        "empty-list", "empty-object", "str", "float", "null"])
-def test_the_writer_matches_json_dumps_on_hand_built_values(value):
-    assert _json(value, "\n") + "\n" == dumps(value)
+def hand_built(entities=(), layers=(), maps=(), product="P", effective=None,
+               included=()) -> ResolvedProduct:
+    """A resolved product straight from AST nodes, with values the parser
+    and resolver never produce."""
+    spec = ProductSpec(tuple(entities), tuple(layers), tuple(maps), ProductDecl(product))
+    return ResolvedProduct(None, effective or {}, tuple(included), (), spec, None)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes", {"a": [frozenset()]},
-                                   {1: "int key"}, {("t",): "tuple key"}],
-                         ids=["set", "object", "bytes", "nested-frozenset", "int-key",
-                              "tuple-key"])
-def test_the_writer_rejects_what_it_cannot_write(value):
+def entity(name="E", properties=()):
+    return EntityDecl(name, tuple(properties))
+
+
+def relation(lower, upper, other_lower=0, other_upper=None, bidirectional=False):
+    return RelationshipSpec(
+        (Cardinality(lower, upper), Cardinality(other_lower, other_upper)), bidirectional)
+
+
+def centered(*corners):
+    return MapDecl("M", "Map", (), BoundingBox(corners))
+
+
+ODD = ['"', "\\", "a\nb", "\x00\x01\x1f\x7f\b\f\r\t", "\u2028\u2029", "é ñ ü",
+       "\U0001f5fa \U00010000", "\ud800", "a/b", "%s %d %%", ""]
+SHARED = frozenset({"B", "A"})
+
+HAND_BUILT = {
+    "every-branch": hand_built(
+        entities=[
+            entity("Town", [
+                PropertyDecl("id", "Long", ("IDENTIFIER",)),
+                PropertyDecl("name", "String", ("DISPLAY_STRING", "REQUIRED")),
+                PropertyDecl("hotels", "Hotel", (), relation(1, 1, 0, None, True)),
+                PropertyDecl("mayor", "Person", (), relation(0, 1, 1, 5)),
+            ]),
+            entity("Hotel", [PropertyDecl("town", "Town", (),
+                                          RelationshipSpec(mapped_by="hotels"))]),
+        ],
+        layers=[LayerDecl("l", "Layer", "Hotel", "GEOJSON",
+                          (StyleRef("a"), StyleRef("b", True), StyleRef("c")))],
+        maps=[MapDecl("m", "Map", (LayerRef("base", ("IS_BASE_LAYER", "DEFAULT_BASE_LAYER")),
+                                   LayerRef("l")),
+                      BoundingBox(((-0.0, 1e16), (5e-324, 40.712)))),
+              MapDecl("n", "Other", (LayerRef("l"),))],
+        effective={"visualization.m": SHARED, "data.Town": frozenset({"Z", "A"}),
+                   "visualization.n": SHARED, "data.Hotel": SHARED},
+        included=("A", "B", "Z")),
+    "strings": hand_built(
+        entities=[entity(n, [PropertyDecl(n, n, (n,), RelationshipSpec(mapped_by=n))])
+                  for n in ODD],
+        layers=[LayerDecl(n, n, n, n, (StyleRef(n),)) for n in ODD],
+        maps=[MapDecl(n, n, (LayerRef(n, (n,)),)) for n in ODD],
+        product='quote " newline \n separator \u2028 astral \U0001f5fa',
+        effective={n: frozenset(ODD) for n in ODD}, included=ODD),
+    "floats": hand_built(maps=[
+        centered((-0.0, 0.0), (1e16, 1e-7)),
+        centered((5e-324, 1.7976931348623157e308), (40.712, -74.125)),
+        centered((0.1, -1e-300), (123456789.0, -2.5))]),
+    "ints": hand_built(entities=[entity("E", [
+        PropertyDecl("a", "T", (), relation(0, None)),
+        PropertyDecl("b", "T", (), relation(2 ** 70, 2 ** 70, 7, 10 ** 30, True))])]),
+    "empty": hand_built(),
+    "key-order": hand_built(
+        effective={k: frozenset({"b", "a", "B", "é", "\U0001f5fa", "a b"})
+                   for k in ["b", "a", "B", "é", "\U0001f5fa", "a b", "a.b", "a-b"]}),
+    "empty-list": hand_built(
+        entities=[entity("E"), entity("F", [PropertyDecl("p", "Long")])],
+        layers=[LayerDecl("l", "L", "E", "WMS", ())],
+        maps=[MapDecl("m", "M", ()), MapDecl("n", "N", (LayerRef("l"),))],
+        effective={"data.E": frozenset()}),
+    "empty-object": hand_built(entities=[entity("E")], layers=[
+        LayerDecl("l", "L", "E", "WMS", (StyleRef("s", True),))]),
+    "null": hand_built(
+        entities=[entity("E", [PropertyDecl("p", "Long", ("IDENTIFIER",), None)])],
+        maps=[MapDecl("m", "M", (LayerRef("l"),), None)]),
+    "shared": hand_built(effective={
+        # one object shared, and equal but distinct objects
+        **{f"e{i}": SHARED for i in range(5)},
+        **{f"f{i}": frozenset({"A", "B"}) for i in range(5)},
+        **{f"g{i}": frozenset({f"X{i}"}) for i in range(5)}}),
+}
+
+
+@pytest.mark.parametrize("resolved", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_the_writer_matches_json_dumps_on_hand_built_values(resolved):
+    assert _write(resolved) == dumps(derivation_config(resolved))
+    assert emit(resolved) == _write(resolved)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hand_built(product={1, 2}),
+    lambda: hand_built(layers=[LayerDecl("l", object(), "E", "WMS", ())]),
+    lambda: hand_built(entities=[entity(b"bytes")]),
+    lambda: hand_built(entities=[entity("E", [PropertyDecl("p", "T", (frozenset(),))])]),
+    lambda: hand_built(effective={1: SHARED}),
+    lambda: hand_built(effective={("t",): SHARED}),
+], ids=["set", "object", "bytes", "nested-frozenset", "int-key", "tuple-key"])
+def test_the_writer_rejects_what_it_cannot_write(build):
+    # a name that is not a str raises rather than being written unquoted
     with pytest.raises(TypeError):
-        _json(value, "\n")
+        _write(build())
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), [float("-inf")]])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), (1.0, float("-inf"))])
 def test_the_writer_rejects_non_finite_floats(value):
-    with pytest.raises(ValueError):
-        _json(value, "\n")
+    # a float as the first coordinate, a pair as the second corner
+    if isinstance(value, float):
+        resolved = hand_built(maps=[centered((value, 0.0), (0.0, 0.0))])
+    else:
+        resolved = hand_built(maps=[centered((0.0, 0.0), value)])
+    with pytest.raises(ValueError, match="is not JSON"):
+        emit(resolved)

@@ -14,6 +14,7 @@ from localfeatures.syntax import (
     Cardinality,
     FeatureClause,
     RelationshipSpec,
+    Span,
 )
 
 
@@ -291,4 +292,27 @@ def test_parse_statement_rejects_trailing_input():
 def test_spans_carry_no_weight_in_equality(webeiel_source, webeiel_spec):
     # reparsing shifted text yields equal nodes despite different spans
     shifted = "// header\n" + webeiel_source
-    assert parse(shifted) == webeiel_spec
+    reparsed = parse(shifted)
+    assert reparsed.entities[0].span != webeiel_spec.entities[0].span
+    assert reparsed == webeiel_spec
+    assert hash(reparsed.product) == hash(webeiel_spec.product)
+
+
+def test_a_span_is_an_immutable_hashable_record():
+    span = Span(3, 8, 1, 4)
+    assert (span.start, span.end, span.line, span.column) == (3, 8, 1, 4)
+    assert span == Span(3, 8, 1, 4)
+    assert hash(span) == hash(Span(3, 8, 1, 4))
+    assert span != Span(3, 8, 2, 4)
+    assert len({span, Span(3, 8, 1, 4), Span(3, 9, 1, 4)}) == 2
+    with pytest.raises(AttributeError):
+        span.start = 0
+    assert span.slice("abcdefghij") == "defgh"
+    assert repr(span) == "Span(start=3, end=8, line=1, column=4)"
+
+
+def test_nodes_compare_and_hash_without_their_spans():
+    here, there = Span(0, 5, 1, 1), Span(10, 15, 2, 3)
+    assert FeatureClause(("A",), here) == FeatureClause(("A",), there)
+    assert hash(FeatureClause(("A",), here)) == hash(FeatureClause(("A",), there))
+    assert FeatureClause(("A",), here) != FeatureClause(("B",), here)
