@@ -12,23 +12,24 @@ the NO_COLOR environment variable is set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import stat
 import sys
-import tempfile
+from typing import TYPE_CHECKING
 
-from .emitter import emit
 from .errors import (
     LocalFeaturesError,
     ModelTooLarge,
     ParseError,
     UnknownElement,
 )
-from .features import enumerate_configurations
-from .parser import parse
-from .resolver import Diagnostic, ResolvedProduct, explain, resolve
-from .spldef import SplDefinition, parse_spl_definition
 from .syntax import Span
+
+# Each command imports the layers it runs, so that `lfc enumerate` loads no
+# parser, resolver or emitter, and only `lfc emit` loads the emitter.
+if TYPE_CHECKING:
+    from .resolver import Diagnostic, ResolvedProduct
+    from .spldef import SplDefinition
 
 USAGE_ERROR = 2
 CLOSED_PIPE = 141  # what a shell reports for a process killed by SIGPIPE
@@ -124,6 +125,8 @@ _SEVERITY_COLOR = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 
 def print_diagnostics(diagnostics: tuple[Diagnostic, ...], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         rows = [{
             "file": d.source,
             "line": d.span.line if d.span else 1,
@@ -146,13 +149,20 @@ def print_diagnostics(diagnostics: tuple[Diagnostic, ...], fmt: str) -> None:
               file=sys.stderr)
 
 
+def _report_error(code: str, message: str, span: Span | None, path: str, fmt: str) -> int:
+    """Print one error diagnostic; returns the exit code 1."""
+    from .resolver import Diagnostic
+
+    print_diagnostics((Diagnostic("error", code, message, span, path),), fmt)
+    return 1
+
+
 def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
     message = exc.message
     if exc.expected:
         message += f" (expected {', '.join(exc.expected)})"
     span = Span(exc.start, exc.end, exc.line, exc.column)
-    print_diagnostics((Diagnostic("error", "syntax", message, span, path),), fmt)
-    return 1
+    return _report_error("syntax", message, span, path, fmt)
 
 
 def _load(args) -> ResolvedProduct | int:
@@ -161,6 +171,9 @@ def _load(args) -> ResolvedProduct | int:
     texts = _read_inputs(args.spec, args.spl)
     if texts is None:
         return USAGE_ERROR
+    from .parser import parse
+    from .resolver import resolve
+
     spec_text, spl_text = texts
     fmt = args.format
     try:
@@ -177,13 +190,14 @@ def _load(args) -> ResolvedProduct | int:
 
 def _load_definition(text: str, path: str, fmt: str) -> SplDefinition | int:
     """Parse a definition; an int is an exit code to return."""
+    from .spldef import parse_spl_definition
+
     try:
         return parse_spl_definition(text, filename=path)
     except ParseError as exc:
         return _parse_failure(exc, path, fmt)
     except LocalFeaturesError as exc:
-        print_diagnostics((Diagnostic("error", "definition", str(exc), exc.span, path),), fmt)
-        return 1
+        return _report_error("definition", str(exc), exc.span, path, fmt)
 
 
 def _read_inputs(*paths: str) -> list[str] | None:
@@ -224,6 +238,8 @@ def cmd_emit(args) -> int:
         return resolved
     if resolved.errors:
         return 1
+    from .emitter import emit
+
     text = emit(resolved)
     out = args.out or f"{resolved.spec.product.name}.derivation.json"
     try:
@@ -237,14 +253,22 @@ def cmd_emit(args) -> int:
 
 
 def _write_atomically(path: str, text: str) -> None:
+    """Replace path with text through a temporary file beside it, which
+    gets the mode open() would leave: an existing file's permission bits,
+    or those umask allows for a new one (mkstemp creates it 0600)."""
+    import tempfile
+
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".emit-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+            os.chmod(tmp, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -259,6 +283,8 @@ def cmd_explain(args) -> int:
     resolved = _load(args)
     if isinstance(resolved, int):
         return resolved
+    from .resolver import explain
+
     try:
         rows = explain(resolved, args.element)
     except UnknownElement as exc:
@@ -308,6 +334,8 @@ def cmd_enumerate(args) -> int:
         print(f"error: no feature model named {args.model!r} (known: {known})",
               file=sys.stderr)
         return USAGE_ERROR
+    from .features import enumerate_configurations
+
     try:
         configurations = enumerate_configurations(model, args.max)
     except ModelTooLarge as exc:

@@ -18,10 +18,9 @@ sweep in declaration order. That order decides which rule gets the credit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import (
     DanglingConstraintEndpoint,
@@ -32,6 +31,7 @@ from .errors import (
     SelfConstraint,
     UnknownFeature,
 )
+from .records import Record
 
 Configuration = frozenset[str]
 
@@ -45,8 +45,7 @@ EXCLUDES: Literal["excludes"] = "excludes"
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     """One node of a feature tree.
 
     Children of a grouped feature are always optional: the group decides how
@@ -61,8 +60,7 @@ class Feature:
     children: tuple[Feature, ...] = ()
 
 
-@dataclass(frozen=True)
-class CrossTreeConstraint:
+class CrossTreeConstraint(NamedTuple):
     kind: Literal["requires", "excludes"]
     lhs: str
     rhs: str
@@ -88,8 +86,7 @@ def excludes(lhs: str, rhs: str) -> CrossTreeConstraint:
     return CrossTreeConstraint(EXCLUDES, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class FeatureModel:
+class FeatureModel(Record):
     """A validated feature tree plus cross-tree constraints.
 
     Instances come from build_feature_model, which enforces the structural
@@ -97,8 +94,14 @@ class FeatureModel:
     """
 
     root: Feature
-    constraints: tuple[CrossTreeConstraint, ...] = ()
-    name: str = ""
+    constraints: tuple[CrossTreeConstraint, ...]
+    name: str
+    _fields = ("root", "constraints", "name")
+    _compared = 3
+
+    def __init__(self, root: Feature,
+                 constraints: tuple[CrossTreeConstraint, ...] = (), name: str = ""):
+        vars(self).update(root=root, constraints=constraints, name=name)
 
     @cached_property
     def index(self) -> FeatureIndex:
@@ -226,8 +229,7 @@ _FREE = 1     # an optional or an or-group child: either way
 _XOR = 2      # an xor-group child: unselected once an earlier sibling is
 
 
-@dataclass(frozen=True)
-class FeatureIndex:
+class FeatureIndex(NamedTuple):
     """A feature model's tree facts, by preorder position.
 
     A feature's subtree occupies positions [i, end[i]), and requires holds
@@ -256,15 +258,13 @@ class FeatureIndex:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     rule: str
     features: tuple[str, ...]
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     violations: tuple[RuleViolation, ...] = ()
 
@@ -398,8 +398,7 @@ def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[C
 # Closure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureStep:
+class ClosureStep(NamedTuple):
     """Why a feature entered a closed selection."""
 
     cause: Literal["seed", "root", "parent", "mandatory", "requires"]

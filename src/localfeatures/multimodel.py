@@ -13,8 +13,7 @@ the global copy's subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     DuplicateBinding,
@@ -35,53 +34,69 @@ from .features import (
     close_selection_traced,
     validate_configuration,
 )
+from .records import LEADING_FIELDS, Record, leading_repr
 from .syntax import Span
 
 
-@dataclass(frozen=True)
-class ModelEntity:
+class ModelEntity(NamedTuple):
     """An element of a viewpoint model; kind names a metaclass."""
 
     name: str
     kind: str
 
 
-@dataclass(frozen=True)
-class ViewpointModel:
+class ViewpointModel(Record):
     """One system viewpoint: its metaclass vocabulary and elements."""
 
     name: str
     metaclasses: frozenset[str]
-    entities: dict[str, ModelEntity] = field(default_factory=dict)
+    entities: dict[str, ModelEntity]
+    _fields = ("name", "metaclasses", "entities")
+    _compared = 3
+
+    def __init__(self, name: str, metaclasses: frozenset[str],
+                 entities: dict[str, ModelEntity] | None = None):
+        vars(self).update(name=name, metaclasses=metaclasses,
+                          entities={} if entities is None else entities)
 
 
-@dataclass(frozen=True)
-class AppliedToDeclaration:
+class AppliedToDeclaration(NamedTuple):
     """Local model <local_model> may bind elements of <viewpoint>.<metaclass>.
     span is the LOCAL line it was read from, if any."""
 
     local_model: str
     viewpoint: str
     metaclass: str
-    span: Span | None = field(default=None, compare=False, repr=False)
+    span: Span | None = None
+
+    _compared = 3
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
+    __repr__ = leading_repr
 
 
-@dataclass(frozen=True)
-class LocalBinding:
+class LocalBinding(NamedTuple):
     element: str
     local_model: str
     selection: Configuration
-    trace: Mapping[str, ClosureStep] = field(compare=False, repr=False)
+    trace: Mapping[str, ClosureStep]
+
+    _compared = 3
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
+    __repr__ = leading_repr
 
 
-@dataclass(frozen=True)
-class FunctionalModel:
+class FunctionalModel(Record):
     """One global feature model plus the local models repeated inside it."""
 
     global_model: FeatureModel
-    locals: dict[str, FeatureModel] = field(default_factory=dict)
+    locals: dict[str, FeatureModel]
+    _fields = ("global_model", "locals")
+    _compared = 2
 
-    def __post_init__(self) -> None:
+    def __init__(self, global_model: FeatureModel,
+                 locals: dict[str, FeatureModel] | None = None):
+        vars(self).update(global_model=global_model,
+                          locals={} if locals is None else locals)
         for name, local in self.locals.items():
             if name != local.root.name:
                 raise TwinMismatch(

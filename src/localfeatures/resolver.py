@@ -22,12 +22,12 @@ tree is an error, never silently promoted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import InvalidSelection, UnknownElement
 from .features import Configuration, close_selection, validate_configuration
 from .multimodel import ModelEntity, Multimodel, ViewpointModel
+from .records import Record
 from .spldef import SplDefinition
 from .syntax import (
     BUILTIN_TYPES,
@@ -60,8 +60,7 @@ _CLOSURE_ORIGINS = {
 }
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Literal["error", "warning"]
     code: str
     message: str
@@ -74,8 +73,7 @@ class Diagnostic:
         return (self.source, line, column, self.code)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Why one feature is part of an element's effective configuration."""
 
     feature: str
@@ -85,17 +83,26 @@ class Provenance:
     source: str = "<spec>"
 
 
-@dataclass(frozen=True)
-class ResolvedProduct:
+class ResolvedProduct(Record):
     multimodel: Multimodel
     effective: dict[str, Configuration]
     included: tuple[str, ...]
     diagnostics: tuple[Diagnostic, ...]
     # carried along for explain and emission
-    spec: ProductSpec = field(repr=False, compare=False)
-    definition: SplDefinition = field(repr=False, compare=False)
-    clause_spans: dict[str, Span] = field(  # bound element -> its feature clause
-        repr=False, compare=False, default_factory=dict)
+    spec: ProductSpec
+    definition: SplDefinition
+    clause_spans: dict[str, Span]  # bound element -> its feature clause
+    _fields = ("multimodel", "effective", "included", "diagnostics",
+               "spec", "definition", "clause_spans")
+    _compared = 4
+
+    def __init__(self, multimodel: Multimodel, effective: dict[str, Configuration],
+                 included: tuple[str, ...], diagnostics: tuple[Diagnostic, ...],
+                 spec: ProductSpec, definition: SplDefinition,
+                 clause_spans: dict[str, Span] | None = None):
+        vars(self).update(multimodel=multimodel, effective=effective, included=included,
+                          diagnostics=diagnostics, spec=spec, definition=definition,
+                          clause_spans={} if clause_spans is None else clause_spans)
 
     @property
     def errors(self) -> tuple[Diagnostic, ...]:

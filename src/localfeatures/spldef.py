@@ -26,7 +26,7 @@ most MAX_FEATURE_DEPTH levels below their FEATUREMODEL line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DuplicateFeatureName,
@@ -49,6 +49,7 @@ from .features import (
 )
 from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream
 from .multimodel import AppliedToDeclaration, FunctionalModel
+from .records import LEADING_FIELDS
 from .syntax import Span
 
 _INDENT = "    "
@@ -57,8 +58,7 @@ _INDENT = "    "
 MAX_FEATURE_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class SplDefinition:
+class SplDefinition(NamedTuple):
     """A parsed definition: the functional model, the viewpoint metamodel
     table (metaclass order preserved), the applied-to declarations, and the
     default global-selection seeds."""
@@ -67,27 +67,30 @@ class SplDefinition:
     viewpoints: dict[str, tuple[str, ...]]
     applied_to: tuple[AppliedToDeclaration, ...]
     defaults: tuple[str, ...] = ()
-    source_name: str = field(default="<definition>", compare=False)
-    defaults_span: Span | None = field(default=None, compare=False)
+    source_name: str = "<definition>"
+    defaults_span: Span | None = None
+
+    _compared = 4
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
 def parse_spl_definition(source: str, filename: str = "<definition>") -> SplDefinition:
     return _DefinitionParser(source).parse(filename)
 
 
-@dataclass
 class _Block:
     """A FEATUREMODEL block as read, with the tokens its errors cite: the
     FEATUREMODEL keyword, each feature name's tokens in source order, the
     name token of each feature whose group has fewer than two children, and
     each constraint's two endpoint tokens."""
 
-    head: int
-    names: dict[str, list[int]] = field(default_factory=dict)
-    small_groups: dict[str, int] = field(default_factory=dict)
-    endpoints: list[tuple[int, int]] = field(default_factory=list)
-    root: Feature | None = None
-    constraints: tuple[CrossTreeConstraint, ...] = ()
+    def __init__(self, head: int):
+        self.head = head
+        self.names: dict[str, list[int]] = {}
+        self.small_groups: dict[str, int] = {}
+        self.endpoints: list[tuple[int, int]] = []
+        self.root: Feature | None = None
+        self.constraints: tuple[CrossTreeConstraint, ...] = ()
 
 
 class _DefinitionParser:

@@ -1,14 +1,17 @@
 """Abstract syntax for product specifications.
 
-Every node carries a source span; spans never take part in equality, so a
-parse / print / parse round trip compares equal structurally. A statement
-node's span slices exactly the statement text out of the source.
+Nodes are immutable named tuples. Every declaration and clause carries a
+source span as its last field; spans, and a spec's source name, never take
+part in equality or hashing, so a parse / print / parse round trip compares
+equal structurally. A statement node's span slices exactly the statement
+text out of the source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
+
+from .records import LEADING_FIELDS
 
 BUILTIN_TYPES = frozenset({
     "Long", "Integer", "Double", "String", "Boolean", "Date",
@@ -39,17 +42,18 @@ class Span(NamedTuple):
 _NO_SPAN = Span(0, 0, 1, 1)
 
 
-@dataclass(frozen=True)
-class FeatureClause:
+class FeatureClause(NamedTuple):
     """A WITH FEATURES (...) clause. Absence is represented by None on the
     owner, not by an empty clause: an empty clause is an explicit opt-out."""
 
     names: tuple[str, ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 1
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class Cardinality:
+class Cardinality(NamedTuple):
     lower: int
     upper: int | None  # None is the unbounded '*'
 
@@ -57,8 +61,7 @@ class Cardinality:
         return f"{self.lower}..{'*' if self.upper is None else self.upper}"
 
 
-@dataclass(frozen=True)
-class RelationshipSpec:
+class RelationshipSpec(NamedTuple):
     """Either explicit cardinalities (optionally BIDIRECTIONAL) or the inverse
     end of a bidirectional relationship via MAPPED_BY."""
 
@@ -67,77 +70,86 @@ class RelationshipSpec:
     mapped_by: str | None = None
 
 
-@dataclass(frozen=True)
-class PropertyDecl:
+class PropertyDecl(NamedTuple):
     name: str
     type_name: str
     flags: tuple[str, ...] = ()
     relationship: RelationshipSpec | None = None
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 4
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class EntityDecl:
+class EntityDecl(NamedTuple):
     name: str
     properties: tuple[PropertyDecl, ...]
     features: FeatureClause | None = None
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 3
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class StyleRef:
+class StyleRef(NamedTuple):
     name: str
     is_default: bool = False
 
 
-@dataclass(frozen=True)
-class LayerDecl:
+class LayerDecl(NamedTuple):
     name: str
     display_name: str
     entity: str
     source_kind: str
     styles: tuple[StyleRef, ...]
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 5
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class LayerRef:
+class LayerRef(NamedTuple):
     name: str
     flags: tuple[str, ...] = ()
     features: FeatureClause | None = None
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 3
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
     @property
     def is_base_layer(self) -> bool:
         return FLAG_IS_BASE_LAYER in self.flags
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Two corner coordinate pairs, passed through uninterpreted."""
 
     corners: tuple[tuple[float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class MapDecl:
+class MapDecl(NamedTuple):
     name: str
     display_name: str
     layers: tuple[LayerRef, ...]
     center: BoundingBox | None = None
     features: FeatureClause | None = None
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 5
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class ProductDecl:
+class ProductDecl(NamedTuple):
     name: str
     features: FeatureClause | None = None
-    span: Span = field(default=_NO_SPAN, compare=False)
+    span: Span = _NO_SPAN
+
+    _compared = 2
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(NamedTuple):
     """A parsed specification: declarations in source order per kind, and
     exactly one product declaration."""
 
@@ -145,7 +157,10 @@ class ProductSpec:
     layers: tuple[LayerDecl, ...]
     maps: tuple[MapDecl, ...]
     product: ProductDecl
-    source_name: str = field(default="<spec>", compare=False)
+    source_name: str = "<spec>"
+
+    _compared = 4
+    __eq__, __ne__, __hash__ = LEADING_FIELDS
 
     def declarations(self):
         return (*self.entities, *self.layers, *self.maps, self.product)

@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
+import localfeatures
 from localfeatures import verify_schema
 from localfeatures.cli import _color_enabled, main, print_diagnostics
+from localfeatures.errors import ParseError
 from localfeatures.resolver import Diagnostic
 from localfeatures.spldef import MAX_FEATURE_DEPTH
 
@@ -285,6 +287,23 @@ def test_emit_gives_the_file_the_mode_open_would(files, capsys, umask, mode):
     assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
+def test_emit_over_a_file_keeps_its_mode(files, capsys):
+    target = files / "custom.json"
+    argv = ["emit", str(files / "webeiel.gis"), "--spl", str(files / "gis.spl"),
+            "--out", str(target)]
+    old = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+        target.chmod(0o600)
+        target.write_text("stale", encoding="utf-8")
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert json.loads(target.read_text(encoding="utf-8"))["product"] == "WebEIEL"
+
+
 def test_emit_refuses_unwritable_directories(files, capsys):
     target = str(files / "missing" / "x.json")
     rc = main(["emit", str(files / "webeiel.gis"), "--spl", str(files / "gis.spl"),
@@ -516,3 +535,53 @@ def test_diagnostics_are_plain_when_no_color_is_set(monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     print_diagnostics((Diagnostic("error", "x", "boom"),), "text")
     assert fake.getvalue() == "<spec>:1:1: error[x]: boom\n"
+
+
+# -- start-up: each command imports only the layers it runs -------------------------
+
+def imported_modules(env, *argv: str) -> set[str]:
+    """The modules `python -X importtime <argv>` imports beyond those the
+    interpreter's own start-up imports."""
+    def run(*args: str) -> set[str]:
+        result = subprocess.run([sys.executable, "-X", "importtime", *args],
+                                capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    return run(*argv) - run("-c", "pass")
+
+
+@pytest.mark.parametrize("command, loaded, absent", [
+    (["enumerate", "--model", "EntityFeature"],
+     {"localfeatures.spldef", "localfeatures.features", "localfeatures.multimodel"},
+     {"localfeatures.resolver", "localfeatures.parser", "localfeatures.emitter",
+      "dataclasses"}),
+    (["check", "webeiel.gis"],
+     {"localfeatures.parser", "localfeatures.spldef", "localfeatures.resolver"},
+     {"localfeatures.emitter", "localfeatures.printer", "localfeatures.schemacheck",
+      "dataclasses"}),
+])
+def test_commands_import_only_the_layers_they_run(files, package_env, command, loaded, absent):
+    argv = [str(files / arg) if arg.endswith(".gis") else arg for arg in command]
+    modules = imported_modules(package_env, "-m", "localfeatures.cli", *argv,
+                               "--spl", str(files / "gis.spl"))
+    assert loaded <= modules
+    assert not absent & modules
+
+
+def test_the_package_exports_its_names_lazily(package_env):
+    script = (
+        "import sys, localfeatures\n"
+        "print(sorted(m for m in sys.modules if m.startswith('localfeatures')))\n"
+        "print(sorted(set(localfeatures.__all__) - set(dir(localfeatures))))\n"
+        "namespace = {}\n"
+        "exec('from localfeatures import *', namespace)\n"
+        "print(sorted(set(localfeatures.__all__) ^ set(namespace) - {'__builtins__'}))\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=package_env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['localfeatures']\n[]\n[]\n"
+    assert localfeatures.parse is localfeatures.parser.parse
+    assert localfeatures.errors.ParseError is ParseError
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        localfeatures.nothing
