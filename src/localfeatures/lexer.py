@@ -25,10 +25,13 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, repeat
 from operator import add, sub
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, TypeVar
 
 from .errors import ParseError
 from .syntax import Span
+
+_new = tuple.__new__  # builds a named tuple without a Python frame for its __new__
+T = TypeVar("T")
 
 IDENT = "IDENT"
 NUMBER = "NUMBER"
@@ -92,7 +95,7 @@ class _Kinds(dict):
         return kind
 
 
-def lex(source: str, keywords: frozenset[str]) -> tuple[list[str], list[str], array]:
+def lex(source: str, keywords: frozenset[str]) -> tuple[tuple[str, ...], tuple[str, ...], array]:
     """The kinds and texts of the tokens of source, ending with one EOF
     token, and their end offsets; raises ParseError at the first character
     no token starts with. A token starts at its end minus the length of its
@@ -103,8 +106,8 @@ def lex(source: str, keywords: frozenset[str]) -> tuple[list[str], list[str], ar
     del texts[last + 1:]
     # one str object per distinct text: x50 keeps 10 MB less alive while parsing
     canonical: dict[str, str] = {}
-    texts = list(map(canonical.setdefault, texts, texts))
-    kinds = list(map(_Kinds(keywords).__getitem__, texts))
+    texts = tuple(map(canonical.setdefault, texts, texts))
+    kinds = tuple(map(_Kinds(keywords).__getitem__, texts))
     ends = array("q", accumulate(map(add, map(len, parts[1:3 * last + 2:3]), map(len, texts))))
     if _BAD in kinds:
         offset = ends[kinds.index(_BAD)] - 1
@@ -129,8 +132,16 @@ def tokenize(source: str, keywords: frozenset[str]) -> list[Token]:
     before = [0, *map((1).__rsub__, starts)]  # before[line] + column == offset
     columns = map(sub, offsets, map(before.__getitem__, lines))
     # built by C-level iterators alone: no Python frame per token
-    return list(map(tuple.__new__, repeat(Token),
+    return list(map(_new, repeat(Token),
                     zip(kinds, texts, lines, columns, offsets, ends)))
+
+
+class _ListsOfNames(dict):
+    """count -> the kinds of a parenthesised list of count names."""
+
+    def __missing__(self, count: int) -> tuple[str, ...]:
+        kinds = self[count] = ("(", *((IDENT, ",") * count)[:-1], ")")
+        return kinds
 
 
 class TokenStream:
@@ -139,14 +150,21 @@ class TokenStream:
     the current token's kind.
 
     Besides single tokens (expect, match), it reads the productions both
-    parsers share: a fixed run of keywords (expect_run), a parenthesised
-    comma list of items the caller reads (parenthesised), and a possibly
-    empty parenthesised list of names (names). Each fails as expect does, at
-    the first token that does not fit."""
+    parsers share: a fixed run of kinds (expect_run), a parenthesised comma
+    list of items the caller reads (parenthesised), and a possibly empty
+    parenthesised list of names (names). Each fails as expect does, at the
+    first token that does not fit. A run and a list of names are first
+    compared with the kinds ahead as slices, in one step each; only when
+    that finds a mismatch are they walked token by token, and it is that
+    walk which raises, so the error is the one expect gives. Equal lists of
+    names come back as one shared tuple: a parse sees few distinct feature
+    clauses, many times over."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
         self._kinds, self.texts, self._ends = lex(source, keywords)
         self._line_starts = line_starts(source)
+        self._lists_of_names = _ListsOfNames()
+        self._names: dict[tuple[str, ...], tuple[str, ...]] = {}  # -> the first equal one
         self.pos = 0
         self.kind = self._kinds[0]
 
@@ -162,9 +180,12 @@ class TokenStream:
         return pos
 
     def match(self, kind: str) -> bool:
-        """Whether the current token is of kind, moving past it if so."""
+        """Whether the current token is of kind, moving past it if so (as
+        advance does, inlined)."""
         if self.kind == kind:
-            self.advance()
+            if kind is not EOF:
+                self.pos += 1
+                self.kind = self._kinds[self.pos]
             return True
         return False
 
@@ -182,33 +203,46 @@ class TokenStream:
 
     def expect_run(self, *kinds: str) -> int:
         """The first of a run of tokens, one of each of kinds in turn, moving
-        past them all."""
+        past them all. No run holds EOF, so a match moves past every token."""
         first = self.pos
+        end = first + len(kinds)
+        if self._kinds[first:end] == kinds:
+            self.pos = end
+            self.kind = self._kinds[end]
+            return first
         for kind in kinds:
             self.expect(kind)
         return first
 
-    def parenthesised(self) -> Iterator[None]:
-        """( item {, item} ): yields once for each item, which the caller
-        reads from the stream before resuming."""
+    def parenthesised(self, item: Callable[[], T]) -> tuple[T, ...]:
+        """( item {, item} ): the items, each read by a call of item."""
         self.expect("(")
-        yield
+        items = [item()]
         while self.match(","):
-            yield
+            items.append(item())
         self.expect(")")
+        return tuple(items)
 
     def names(self) -> tuple[str, ...]:
-        """The texts of ( [IDENT {, IDENT}] ). Feature clauses make this the
-        commonest list, so it loops by itself rather than resuming
-        parenthesised and a generator expression for each name."""
-        self.expect("(")
-        names = []
+        """The texts of ( [IDENT {, IDENT}] ), read up to the first ) ahead."""
+        kinds, pos = self._kinds, self.pos
+        try:
+            close = kinds.index(")", pos)
+        except ValueError:
+            close = pos  # no list ends ahead, so none matches below
+        if kinds[pos:close + 1] == self._lists_of_names[(close - pos) // 2]:
+            names = self.texts[pos + 1:close:2]
+            self.pos = close + 1
+            self.kind = kinds[close + 1]
+            return self._names.setdefault(names, names)
+        self.expect("(")  # token by token, to raise at the first misfit
+        found = []
         if self.kind != ")":
-            names.append(self.texts[self.expect(IDENT)])
+            found.append(self.texts[self.expect(IDENT)])
             while self.match(","):
-                names.append(self.texts[self.expect(IDENT)])
+                found.append(self.texts[self.expect(IDENT)])
         self.expect(")")
-        return tuple(names)
+        return tuple(found)
 
     def fail(self, *expected: str) -> NoReturn:
         kind = self.kind
@@ -222,9 +256,13 @@ class TokenStream:
         start = ends[first] - len(self.texts[first])
         starts = self._line_starts
         line = bisect_right(starts, start)
-        return Span(start, ends[first if last is None else last], line,
-                    start - starts[line - 1] + 1)
+        return _new(Span, (start, ends[first if last is None else last], line,
+                           start - starts[line - 1] + 1))
 
     def span_from(self, first: int) -> Span:
         """From token first to the last token the cursor moved past."""
-        return self.span(first, self.pos - 1)
+        ends = self._ends
+        start = ends[first] - len(self.texts[first])
+        starts = self._line_starts
+        line = bisect_right(starts, start)
+        return _new(Span, (start, ends[self.pos - 1], line, start - starts[line - 1] + 1))

@@ -37,6 +37,8 @@ from .features import (
 from .records import LEADING_FIELDS, Record, leading_repr
 from .syntax import Span
 
+_new = tuple.__new__  # builds a named tuple without a Python frame for its __new__
+
 
 class ModelEntity(NamedTuple):
     """An element of a viewpoint model; kind names a metaclass."""
@@ -192,11 +194,16 @@ class Multimodel:
         return tuple(self._bindings.values())
 
     def element(self, qualified_name: str) -> ModelEntity:
+        return self._locate(qualified_name)[1]
+
+    def _locate(self, qualified_name: str) -> tuple[str, ModelEntity]:
+        """The viewpoint and the element a qualified name names."""
         viewpoint, _, name = qualified_name.partition(".")
         vp = self.viewpoints.get(viewpoint)
-        if vp is None or name not in vp.entities:
+        entity = None if vp is None else vp.entities.get(name)
+        if entity is None:
             raise UnknownElement(f"no element {qualified_name!r} in the multimodel")
-        return vp.entities[name]
+        return viewpoint, entity
 
     # -- construction -------------------------------------------------------
 
@@ -226,8 +233,8 @@ class Multimodel:
         local = self.functional.locals.get(local_model)
         if local is None:
             raise UnknownLocalModel(f"no local feature model named {local_model!r}")
-        entity = self.element(element)
-        if not self._covers(element, entity, local_model):
+        viewpoint, entity = self._locate(element)
+        if (local_model, viewpoint, entity.kind) not in self._applied_to:
             raise KindMismatch(
                 f"local model {local_model!r} is not applied to any metaclass "
                 f"matching element {element!r} of kind {entity.kind!r}")
@@ -245,7 +252,7 @@ class Multimodel:
             raise InvalidSelection(
                 f"selection for {element!r} is invalid against {local_model!r}: "
                 + "; ".join(v.message for v in report.violations))
-        self._bindings[key] = LocalBinding(element, local_model, selection, trace)
+        self._bindings[key] = _new(LocalBinding, (element, local_model, selection, trace))
         return self
 
     def remove_binding(self, element: str, local_model: str) -> Multimodel:
@@ -255,10 +262,6 @@ class Multimodel:
             raise UnknownElement(
                 f"no binding of {element!r} for local model {local_model!r}") from None
         return self
-
-    def _covers(self, qualified_name: str, entity: ModelEntity, local_model: str) -> bool:
-        viewpoint, _, _ = qualified_name.partition(".")
-        return (local_model, viewpoint, entity.kind) in self._applied_to
 
     # -- queries ------------------------------------------------------------
 
@@ -275,8 +278,8 @@ class Multimodel:
 
     def effective_configuration(self, element: str, local_model: str) -> Configuration:
         """The element's binding if one exists, else the global default."""
-        entity = self.element(element)
-        if not self._covers(element, entity, local_model):
+        viewpoint, entity = self._locate(element)
+        if (local_model, viewpoint, entity.kind) not in self._applied_to:
             raise NotApplicable(
                 f"local model {local_model!r} does not apply to element {element!r} "
                 f"of kind {entity.kind!r}")

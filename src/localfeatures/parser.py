@@ -61,6 +61,10 @@ from .syntax import (
 
 _PROPERTY_FLAGS = (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING, FLAG_REQUIRED)
 _LAYER_REF_FLAGS = (FLAG_IS_BASE_LAYER, FLAG_DEFAULT_BASE_LAYER)
+_WORDS = (IDENT, NUMBER)
+# Nodes are built as tuple.__new__(Node, fields), which runs no Python frame;
+# a named tuple's own __new__ is one more call per node.
+_new = tuple.__new__
 
 
 def parse(source: str, filename: str = "<spec>") -> ProductSpec:
@@ -86,16 +90,14 @@ class _Parser:
         entities: list[EntityDecl] = []
         layers: list[LayerDecl] = []
         maps: list[MapDecl] = []
+        kept = {EntityDecl: entities, LayerDecl: layers, MapDecl: maps}
         product: ProductDecl | None = None
 
-        while not self.ts.at(EOF):
+        while self.ts.kind is not EOF:
             decl = self.statement()
-            if isinstance(decl, EntityDecl):
-                entities.append(decl)
-            elif isinstance(decl, LayerDecl):
-                layers.append(decl)
-            elif isinstance(decl, MapDecl):
-                maps.append(decl)
+            same_kind = kept.get(type(decl))
+            if same_kind is not None:
+                same_kind.append(decl)
             else:
                 if product is not None:
                     raise MultipleProducts.at(
@@ -114,45 +116,48 @@ class _Parser:
 
     def statement(self):
         start = self.ts.expect("CREATE")
-        if self.ts.at("ENTITY"):
+        kind = self.ts.kind
+        if kind == "ENTITY":
             return self.entity_decl(start)
-        if self.ts.at("MAP"):
+        if kind == "MAP":
             return self.map_decl(start)
-        if self.ts.at("GIS"):
+        if kind == "GIS":
             return self.product_decl(start)
-        if self.ts.at(IDENT):
+        if kind == IDENT:
             return self.layer_decl(start)
         self.ts.fail("ENTITY", "MAP", "GIS", "layer source kind")
 
     def entity_decl(self, start: int) -> EntityDecl:
-        self.ts.expect("ENTITY")
-        name = self.texts[self.ts.expect(IDENT)]
-        properties = [self.property_decl() for _ in self.ts.parenthesised()]
+        ts = self.ts
+        name = self.texts[ts.expect_run("ENTITY", IDENT) + 1]
+        properties = ts.parenthesised(self.property_decl)
         features = self.feature_clause()
-        self.ts.expect(";")
+        ts.expect(";")
 
-        for flag in (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING):
-            carriers = [p for p in properties if flag in p.flags]
-            if len(carriers) > 1:
-                raise DuplicateFlag.at(
-                    f"entity {name!r} flags more than one property {flag}",
-                    carriers[1].span)
-        return EntityDecl(name, tuple(properties), features, self.ts.span_from(start))
+        if len(properties) > 1:
+            for flag in (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING):
+                carriers = [p for p in properties if flag in p.flags]
+                if len(carriers) > 1:
+                    raise DuplicateFlag.at(
+                        f"entity {name!r} flags more than one property {flag}",
+                        carriers[1].span)
+        return _new(EntityDecl, (name, properties, features, ts.span_from(start)))
 
     def property_decl(self) -> PropertyDecl:
-        start = self.ts.expect(IDENT)
-        type_name = self.texts[self.ts.expect(IDENT)]
+        ts = self.ts
+        start = ts.expect_run(IDENT, IDENT)
+        type_name = self.texts[start + 1]
         flags = self.flags(_PROPERTY_FLAGS)
         relationship = None
-        if self.ts.at("RELATIONSHIP"):
-            rel_tok = self.ts.advance()
+        if ts.kind == "RELATIONSHIP":
+            rel_tok = ts.advance()
             if type_name in BUILTIN_TYPES:
                 raise ParseError.at(
                     f"RELATIONSHIP is not allowed on built-in type {type_name!r}",
-                    self.ts.span(rel_tok))
+                    ts.span(rel_tok))
             relationship = self.relationship_spec()
-        return PropertyDecl(self.texts[start], type_name, flags, relationship,
-                            self.ts.span_from(start))
+        return _new(PropertyDecl, (self.texts[start], type_name, flags, relationship,
+                                   ts.span_from(start)))
 
     def relationship_spec(self) -> RelationshipSpec:
         if self.ts.match("("):
@@ -190,105 +195,102 @@ class _Parser:
             raise ParseError.at("cardinality bound out of range", self.ts.span(tok)) from None
 
     def layer_decl(self, start: int) -> LayerDecl:
-        source_kind = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect("LAYER")
-        name = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect("AS")
+        ts, texts = self.ts, self.texts
+        first = ts.expect_run(IDENT, "LAYER", IDENT, "AS")
+        name = texts[first + 2]
         display = self.display_name()
-        self.ts.expect("FOR")
-        entity = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect_run("WITH", "STYLES")
-        styles = [self.style_ref() for _ in self.ts.parenthesised()]
-        defaults = [s for s in styles if s.is_default]
-        if len(defaults) > 1:
+        entity = texts[ts.expect_run("FOR", IDENT, "WITH", "STYLES") + 1]
+        styles = ts.parenthesised(self.style_ref)
+        if len(styles) > 1 and sum(s.is_default for s in styles) > 1:
             raise DuplicateFlag.at(f"layer {name!r} marks more than one style DEFAULT",
-                                   self.ts.span(self.ts.pos - 1))
-        self.ts.expect(";")
-        return LayerDecl(name, display, entity, source_kind, tuple(styles),
-                         self.ts.span_from(start))
+                                   ts.span(ts.pos - 1))
+        ts.expect(";")
+        return _new(LayerDecl, (name, display, entity, texts[first], styles,
+                                ts.span_from(start)))
 
     def style_ref(self) -> StyleRef:
-        return StyleRef(self.texts[self.ts.expect(IDENT)], self.ts.match("DEFAULT"))
+        return _new(StyleRef, (self.texts[self.ts.expect(IDENT)], self.ts.match("DEFAULT")))
 
     def map_decl(self, start: int) -> MapDecl:
-        self.ts.expect("MAP")
-        name = self.texts[self.ts.expect(IDENT)]
-        self.ts.expect("AS")
+        ts = self.ts
+        name = self.texts[ts.expect_run("MAP", IDENT, "AS") + 1]
         display = self.display_name()
-        self.ts.expect_run("WITH", "LAYERS")
-        refs = [self.layer_ref() for _ in self.ts.parenthesised()]
-        close = self.ts.pos - 1
+        ts.expect_run("WITH", "LAYERS")
+        refs = ts.parenthesised(self.layer_ref)
+        close = ts.pos - 1
 
         center: BoundingBox | None = None
         features: FeatureClause | None = None
         while True:
-            if self.ts.at(","):
-                self.ts.expect_run(",", "WITH", "CENTER")
+            if ts.kind == ",":
+                ts.expect_run(",", "WITH", "CENTER")
                 if center is not None:
-                    raise ParseError.at("map declares CENTER twice",
-                                        self.ts.span(self.ts.pos - 1))
+                    raise ParseError.at("map declares CENTER twice", ts.span(ts.pos - 1))
                 center = BoundingBox(self.pair(lambda: self.pair(self.coordinate)))
-            elif self.ts.at("WITH"):
+            elif ts.kind == "WITH":
                 if features is not None:
                     raise DuplicateFlag.at("map declares WITH FEATURES twice",
-                                          self.ts.span(self.ts.pos))
+                                          ts.span(ts.pos))
                 features = self.feature_clause()
             else:
                 break
-        self.ts.expect(";")
+        ts.expect(";")
 
         base = [r for r in refs if FLAG_IS_BASE_LAYER in r.flags]
         if not base:
-            raise ParseError.at(f"map {name!r} flags no layer IS_BASE_LAYER",
-                                self.ts.span(close))
+            raise ParseError.at(f"map {name!r} flags no layer IS_BASE_LAYER", ts.span(close))
         if len(base) > 1:
             raise ParseError.at(
                 f"map {name!r} flags more than one layer IS_BASE_LAYER", base[1].span)
-        return MapDecl(name, display, tuple(refs), center, features, self.ts.span_from(start))
+        return _new(MapDecl, (name, display, refs, center, features, ts.span_from(start)))
 
     def layer_ref(self) -> LayerRef:
-        start = self.ts.expect(IDENT)
+        ts = self.ts
+        start = ts.expect(IDENT)
         name = self.texts[start]
         flags = self.flags(_LAYER_REF_FLAGS)
         if FLAG_DEFAULT_BASE_LAYER in flags and FLAG_IS_BASE_LAYER not in flags:
             raise ParseError.at(
                 f"layer reference {name!r} is DEFAULT_BASE_LAYER but not IS_BASE_LAYER",
-                self.ts.span(start))
+                ts.span(start))
         features = self.feature_clause()
-        return LayerRef(name, flags, features, self.ts.span_from(start))
+        return _new(LayerRef, (name, flags, features, ts.span_from(start)))
 
     def product_decl(self, start: int) -> ProductDecl:
-        self.ts.expect("GIS")
-        name = self.texts[self.ts.expect(IDENT)]
+        ts = self.ts
+        name = self.texts[ts.expect_run("GIS", IDENT) + 1]
         features = self.feature_clause()
-        self.ts.expect(";")
-        return ProductDecl(name, features, self.ts.span_from(start))
+        ts.expect(";")
+        return _new(ProductDecl, (name, features, ts.span_from(start)))
 
     # -- shared pieces ------------------------------------------------------
 
     def flags(self, allowed: tuple[str, ...]) -> tuple[str, ...]:
         """The flags among allowed that come next, each at most once."""
+        ts = self.ts
         flags: list[str] = []
-        while self.ts.at(*allowed):
-            flag = self.ts.kind
+        while ts.kind in allowed:
+            flag = ts.kind
             if flag in flags:
-                raise DuplicateFlag.at(f"duplicate flag {flag}", self.ts.span(self.ts.pos))
+                raise DuplicateFlag.at(f"duplicate flag {flag}", ts.span(ts.pos))
             flags.append(flag)
-            self.ts.advance()
+            ts.advance()
         return tuple(flags)
 
     def feature_clause(self) -> FeatureClause | None:
-        if not self.ts.at("WITH"):
+        ts = self.ts
+        if ts.kind != "WITH":
             return None
-        start = self.ts.expect_run("WITH", "FEATURES")
-        return FeatureClause(self.ts.names(), self.ts.span_from(start))
+        start = ts.expect_run("WITH", "FEATURES")
+        return _new(FeatureClause, (ts.names(), ts.span_from(start)))
 
     def display_name(self) -> str:
+        ts = self.ts
         words: list[str] = []
-        while self.ts.at(IDENT, NUMBER):
-            words.append(self.texts[self.ts.advance()])
+        while ts.kind in _WORDS:
+            words.append(self.texts[ts.advance()])
         if not words:
-            self.ts.fail("display name")
+            ts.fail("display name")
         return " ".join(words)
 
     def pair(self, item) -> tuple:

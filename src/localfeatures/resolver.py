@@ -60,6 +60,18 @@ _CLOSURE_ORIGINS = {
 }
 
 
+_new = tuple.__new__  # builds a named tuple without a Python frame for its __new__
+
+
+def _described(metaclass: str, name: str) -> str:
+    """How a diagnostic names a placed element: "entity 'E'", "layer 'L'",
+    "map 'M'" or, for a layer in a map, "layer 'L' in map 'M'"."""
+    if metaclass == LAYER_IN_MAP_METACLASS:
+        map_name, _, layer = name.partition(".")
+        return f"layer {layer!r} in map {map_name!r}"
+    return f"{metaclass.lower()} {name!r}"
+
+
 class Diagnostic(NamedTuple):
     severity: Literal["error", "warning"]
     code: str
@@ -152,6 +164,9 @@ class _Resolution:
         self.diagnostics: list[Diagnostic] = []
         self.clause_spans: dict[str, Span] = {}
         self.route: dict[str, str] = {}  # viewpoint.metaclass -> local model
+        # (local model, clause names) -> seeds, for clauses whose every name
+        # is a feature of that local model
+        self.seeds: dict[tuple[str, tuple[str, ...]], Configuration] = {}
         for decl in definition.applied_to:
             self.route.setdefault(f"{decl.viewpoint}.{decl.metaclass}", decl.local_model)
 
@@ -322,15 +337,16 @@ class _Resolution:
     def place_all(self, mm: Multimodel) -> None:
         """Place the first declaration of each name, and the first reference to
         each layer in a map, binding each element's clause as it is placed."""
+        entity = self.slot(mm, DATA_VIEWPOINT, ENTITY_METACLASS)
+        layer = self.slot(mm, VISUALIZATION_VIEWPOINT, LAYER_METACLASS)
+        map_ = self.slot(mm, VISUALIZATION_VIEWPOINT, MAP_METACLASS)
+        layer_in_map = self.slot(mm, VISUALIZATION_VIEWPOINT, LAYER_IN_MAP_METACLASS)
         for decl in self.entities.values():
-            self.place(mm, DATA_VIEWPOINT, ENTITY_METACLASS, decl.name, decl.span,
-                       decl.features, f"entity {decl.name!r}")
-        for layer in self.layers.values():
-            self.place(mm, VISUALIZATION_VIEWPOINT, LAYER_METACLASS, layer.name, layer.span,
-                       None, f"layer {layer.name!r}")
+            self.place(mm, entity, decl.name, decl.span, decl.features)
+        for decl in self.layers.values():
+            self.place(mm, layer, decl.name, decl.span, None)
         for map_decl in self.maps.values():
-            self.place(mm, VISUALIZATION_VIEWPOINT, MAP_METACLASS, map_decl.name,
-                       map_decl.span, map_decl.features, f"map {map_decl.name!r}")
+            self.place(mm, map_, map_decl.name, map_decl.span, map_decl.features)
             seen: set[str] = set()
             for ref in map_decl.layers:
                 # base layers are built-in tile sources, not declared data layers
@@ -344,57 +360,69 @@ class _Resolution:
                                ref.span)
                     continue
                 seen.add(ref.name)
-                self.place(mm, VISUALIZATION_VIEWPOINT, LAYER_IN_MAP_METACLASS,
-                           f"{map_decl.name}.{ref.name}", ref.span, ref.features,
-                           f"layer {ref.name!r} in map {map_decl.name!r}")
+                self.place(mm, layer_in_map, f"{map_decl.name}.{ref.name}", ref.span,
+                           ref.features)
 
-    def place(self, mm: Multimodel, viewpoint: str, metaclass: str, name: str, span: Span,
-              clause: FeatureClause | None, described: str) -> None:
+    def slot(self, mm: Multimodel, viewpoint: str, metaclass: str) -> tuple:
+        """What placing and binding an element of a metaclass needs, worked
+        out once for all its elements: the viewpoint and metaclass, the
+        viewpoint's elements (None if it has no such metaclass), and the
+        local model its clauses bind through (None if none applies)."""
         vp = mm.viewpoints.get(viewpoint)
+        entities = vp.entities if vp is not None and metaclass in vp.metaclasses else None
+        return viewpoint, metaclass, entities, self.route.get(f"{viewpoint}.{metaclass}")
+
+    def place(self, mm: Multimodel, slot: tuple, name: str, span: Span,
+              clause: FeatureClause | None) -> None:
+        viewpoint, metaclass, entities, _ = slot
         placed = False
-        if vp is None or metaclass not in vp.metaclasses:
+        if entities is None:
             self.error("no-metaclass",
                        f"definition declares no {viewpoint}.{metaclass}; cannot "
                        f"place element {name!r}", span)
-        elif name in vp.entities:
+        elif name in entities:
             # layers and maps share the visualization viewpoint's namespace
             self.error("duplicate-name",
-                       f"{described} has the same name as "
-                       f"{vp.entities[name].kind.lower()} {name!r}", span)
+                       f"{_described(metaclass, name)} has the same name as "
+                       f"{entities[name].kind.lower()} {name!r}", span)
         else:
-            vp.entities[name] = ModelEntity(name, metaclass)
+            entities[name] = _new(ModelEntity, (name, metaclass))
             placed = True
         if clause is not None:
-            self.bind(mm, f"{viewpoint}.{name}", f"{viewpoint}.{metaclass}",
-                      clause, described, placed)
+            self.bind(mm, slot, name, clause, placed)
 
-    def bind(self, mm: Multimodel, element: str, route: str,
-             clause: FeatureClause, described: str, placed: bool) -> None:
-        local_name = self.route.get(route)
+    def bind(self, mm: Multimodel, slot: tuple, name: str, clause: FeatureClause,
+             placed: bool) -> None:
+        """Bind an element's clause through its slot's local model. The seeds
+        of a fully known clause are worked out once per local model and list
+        of names; a clause with an unknown feature is checked afresh for each
+        element, so each gets its own diagnostics."""
+        viewpoint, metaclass, _, local_name = slot
         if local_name is None:
             self.error("no-local-model",
-                       f"{described} has a feature clause, but no local model is "
-                       f"applied to {route}", clause.span)
+                       f"{_described(metaclass, name)} has a feature clause, but no local "
+                       f"model is applied to {viewpoint}.{metaclass}", clause.span)
             return
-        local = self.definition.functional.locals[local_name]
-
-        known: list[str] = []
-        bad = False
-        for name in clause.names:
-            if name in local:
-                known.append(name)
-                continue
-            bad = True
-            owner = self.owning_model(name)
-            hint = f"; it belongs to {owner}" if owner else ""
-            self.error("unknown-feature",
-                       f"{described} selects {name!r}, which is not a feature of "
-                       f"local model {local_name!r}{hint}", clause.span)
-        if bad or not placed:  # an unplaced element's clause is checked, never bound
+        key = (local_name, clause.names)
+        seeds = self.seeds.get(key)
+        if seeds is None:
+            local = self.definition.functional.locals[local_name]
+            unknown = [feature for feature in clause.names if feature not in local]
+            for feature in unknown:
+                owner = self.owning_model(feature)
+                hint = f"; it belongs to {owner}" if owner else ""
+                self.error("unknown-feature",
+                           f"{_described(metaclass, name)} selects {feature!r}, which is not "
+                           f"a feature of local model {local_name!r}{hint}", clause.span)
+            if unknown:
+                return
+            seeds = self.seeds[key] = frozenset(clause.names)
+        if not placed:  # an unplaced element's clause is checked, never bound
             return
 
+        element = f"{viewpoint}.{name}"
         try:
-            mm.bind_local(element, local_name, frozenset(known))
+            mm.bind_local(element, local_name, seeds)
         except InvalidSelection as exc:
             self.error("invalid-selection", str(exc), clause.span)
             return

@@ -193,12 +193,15 @@ class _DefinitionParser:
         if self.texts[name] in viewpoints:
             raise ParseError.at(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
         metaclasses: list[str] = []
-        for _ in self.ts.parenthesised():
-            metaclass = self.ts.expect(IDENT)
-            if self.texts[metaclass] in metaclasses:
-                raise ParseError.at(f"duplicate metaclass {self.texts[metaclass]!r}",
-                                    self.ts.span(metaclass))
-            metaclasses.append(self.texts[metaclass])
+
+        def metaclass() -> None:
+            tok = self.ts.expect(IDENT)
+            if self.texts[tok] in metaclasses:
+                raise ParseError.at(f"duplicate metaclass {self.texts[tok]!r}",
+                                    self.ts.span(tok))
+            metaclasses.append(self.texts[tok])
+
+        self.ts.parenthesised(metaclass)
         self.ts.expect(";")
         viewpoints[self.texts[name]] = tuple(metaclasses)
 

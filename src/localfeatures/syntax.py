@@ -7,8 +7,6 @@ equal structurally. A statement node's span slices exactly the statement
 text out of the source.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .records import LEADING_FIELDS

@@ -5,8 +5,9 @@ product. Everything random is a pure function of the passed random.Random,
 so failures replay from the seed.
 
 Also the slow oracles the library's fast paths are checked against: the
-brute-force configuration enumerator, the whole-model fixpoint closure and
-the character-at-a-time tokenizer."""
+brute-force configuration enumerator, the whole-model fixpoint closure, the
+character-at-a-time tokenizer and the token-at-a-time reading of keyword
+runs and name lists."""
 
 import random
 from typing import Callable
@@ -26,7 +27,7 @@ from localfeatures.features import (
     FeatureModel,
     build_feature_model,
 )
-from localfeatures.lexer import EOF, IDENT, NUMBER
+from localfeatures.lexer import EOF, IDENT, NUMBER, TokenStream, tokenize
 from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
     BoundingBox,
@@ -223,6 +224,69 @@ def reference_tokenize(source: str, keywords: frozenset[str]) -> list[tuple]:
 
     tokens.append((EOF, "", line, n - line_start + 1, n, n))
     return tokens
+
+
+class ReferenceTokenStream(TokenStream):
+    """A TokenStream that reads runs and name lists one token at a time, as
+    expect and match do. The slow oracle for TokenStream's slice-compared
+    expect_run and names: a parser given this stream in place of its own
+    must build the same tree, or raise the same ParseError in every field."""
+
+    def expect_run(self, *kinds: str) -> int:
+        first = self.pos
+        for kind in kinds:
+            self.expect(kind)
+        return first
+
+    def names(self) -> tuple[str, ...]:
+        self.expect("(")
+        names = []
+        if self.kind != ")":
+            names.append(self.texts[self.expect(IDENT)])
+            while self.match(","):
+                names.append(self.texts[self.expect(IDENT)])
+        self.expect(")")
+        return tuple(names)
+
+
+# The runs whose reading the mutations below aim at: each starts a site that
+# reaches to the next ")" or ";", so a site takes in the list a run opens.
+_RUN_SITES = (("WITH", "FEATURES"), ("WITH", "STYLES"), ("WITH", "LAYERS"),
+              (",", "WITH", "CENTER"), ("APPLIED", "TO"), ("DEFAULTS",))
+_STAND_INS = ("WITH", "FEATURES", "MAP", "CENTER", "TO", "DEFAULT", "42", "-1.5",
+              "x", "(", ")", ",", ";", "..")
+
+
+def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
+                 count: int) -> list[str]:
+    """count copies of source, each with one token in or next to a keyword
+    run or name list changed: dropped, doubled, replaced by a keyword, a
+    number, a name or punctuation, or the source cut off just before it."""
+    tokens = tokenize(source, keywords)
+    kinds = [token.kind for token in tokens]
+    sites: list[tuple[int, int]] = []
+    for first in range(len(tokens)):
+        for run in _RUN_SITES:
+            if tuple(kinds[first:first + len(run)]) == run:
+                last = first + len(run)
+                while kinds[last] not in (")", ";", EOF):
+                    last += 1
+                sites.append((first, last))
+    mutants = []
+    for _ in range(count):
+        first, last = rng.choice(sites)
+        token = tokens[rng.randint(first, last)]
+        head, tail = source[:token.offset], source[token.end:]
+        how = rng.choice(("drop", "double", "replace", "replace", "cut"))
+        if how == "drop":
+            mutants.append(f"{head} {tail}")
+        elif how == "double":
+            mutants.append(f"{head}{token.text} {token.text}{tail}")
+        elif how == "replace":
+            mutants.append(f"{head}{rng.choice(_STAND_INS)}{tail}")
+        else:
+            mutants.append(head)
+    return mutants
 
 
 def nested_spl(depth: int) -> str:

@@ -17,7 +17,12 @@ from localfeatures.errors import UnknownElement
 from localfeatures.resolver import Diagnostic, Provenance
 from localfeatures.spldef import parse_spl_definition
 
-from generators import definition_clauses, random_spec, reference_close_selection_traced
+from generators import (
+    definition_clauses,
+    random_spec,
+    reference_close_selection_traced,
+    scale_spec_text,
+)
 
 XOR_LOCAL_DEFINITION = """\
 VIEWPOINT data (Entity);
@@ -382,6 +387,66 @@ def test_each_element_with_the_same_invalid_clause_is_reported():
     assert "'data.City'" in invalid[0].message
     assert "'data.Town'" in invalid[1].message
     assert resolved.multimodel.bindings == ()
+
+
+def test_each_element_with_the_same_unknown_feature_is_reported_at_its_clause(
+        gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (List, Bogus);\n"
+              "CREATE ENTITY Town (id Long IDENTIFIER)\n"
+              "    WITH FEATURES (List, Bogus);\n"
+              "CREATE GIS X;")
+    spec = parse(source, filename="spec.gis")
+    resolved = resolve(spec, gis_definition)
+    assert [(d.code, d.span) for d in resolved.diagnostics] == [
+        ("unknown-feature", decl.features.span) for decl in spec.entities]
+    assert [d.message for d in resolved.diagnostics] == [
+        f"entity {name!r} selects 'Bogus', which is not a feature of local model "
+        "'EntityFeature'" for name in ("City", "Town")]
+    assert resolved.multimodel.bindings == () and resolved.clause_spans == {}
+
+
+def test_equal_clauses_through_different_local_models_are_checked_apart(gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (List);\n"
+              "CREATE ENTITY Town (id Long IDENTIFIER) WITH FEATURES ();\n"
+              "CREATE MAP m AS M WITH LAYERS (b IS_BASE_LAYER) WITH FEATURES (List);\n"
+              "CREATE MAP n AS N WITH LAYERS (b IS_BASE_LAYER) WITH FEATURES ();\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert [(d.code, d.span.line) for d in resolved.diagnostics] == [("unknown-feature", 3)]
+    assert "map 'm' selects 'List'" in resolved.diagnostics[0].message
+    assert "belongs to local model 'EntityFeature'" in resolved.diagnostics[0].message
+    assert {(b.element, b.local_model): b.selection
+            for b in resolved.multimodel.bindings} == {
+        ("data.City", "EntityFeature"): {"EntityFeature", "List"},
+        ("data.Town", "EntityFeature"): {"EntityFeature"},
+        ("visualization.n", "MapFeature"): {"MapFeature"},
+    }
+
+
+def test_every_bound_element_keeps_its_own_clause_span(gis_definition):
+    spec = parse(scale_spec_text(2), filename="scale.gis")
+    resolved = resolve(spec, gis_definition)
+    expected = {f"data.{e.name}": e.features.span for e in spec.entities}
+    for m in spec.maps:
+        if m.features is not None:
+            expected[f"visualization.{m.name}"] = m.features.span
+        for ref in m.layers:
+            if ref.features is not None:
+                expected[f"visualization.{m.name}.{ref.name}"] = ref.features.span
+    assert resolved.diagnostics == ()
+    assert resolved.clause_spans == expected
+    assert len(set(expected.values())) == len(expected) == len(resolved.multimodel.bindings)
+
+
+def test_equal_clauses_in_one_parse_share_their_names(gis_definition):
+    spec = parse(scale_spec_text(2), filename="scale.gis")
+    owners = [*spec.entities, *spec.maps, spec.product, *(r for m in spec.maps for r in m.layers)]
+    clauses = [owner.features for owner in owners if owner.features is not None]
+    shared = {}
+    for clause in clauses:
+        assert shared.setdefault(clause.names, clause.names) is clause.names
+    assert len(shared) == 7 and len(clauses) == 531  # 6 element clauses, 1 product clause
+    assert parse(format_spec(spec)) == spec
 
 
 def test_invalid_default_is_an_error_when_elements_fall_back_to_it():
