@@ -27,7 +27,7 @@ from localfeatures.features import (
     FeatureModel,
     build_feature_model,
 )
-from localfeatures.lexer import EOF, IDENT, NUMBER, TokenStream, tokenize
+from localfeatures.lexer import DEFINITION_KEYWORDS, EOF, IDENT, NUMBER, TokenStream, tokenize
 from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
     BoundingBox,
@@ -465,6 +465,32 @@ _GARBAGE = "@#$%&!?^~|:<>=+'\"\\`"
 def random_token_soup(rng: random.Random) -> str:
     """Random token sequence, occasionally salted with an illegal character."""
     parts = [rng.choice(_SOUP) for _ in range(rng.randint(1, 40))]
+    if rng.random() < 0.15:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(_GARBAGE))
+    separator = rng.choice((" ", "  ", "\n", " \n "))
+    return separator.join(parts)
+
+
+_DEFINITION_SOUP = (*sorted(DEFINITION_KEYWORDS), "data", "Entity", "Root", "A", "B",
+                    ".", ";", ",", "(", ")", "{", "}")
+# statement heads and whole statements, so that a soup gets past its first
+# token, and now and then past the parser into the checks of the models it read
+_DEFINITION_PHRASES = (
+    "VIEWPOINT data (Entity);", "FEATUREMODEL Root {", "OPTIONAL A", "MANDATORY B XOR {",
+    "REQUIRES A B", "}", "LOCAL A APPLIED TO data.Entity;", "DEFAULTS (A, B);",
+    "FEATUREMODEL Root { OPTIONAL A OPTIONAL B }", "FEATUREMODEL A { OPTIONAL B }",
+    "FEATUREMODEL B { MANDATORY A XOR { Root } }", "FEATUREMODEL A { REQUIRES A Root }",
+    "FEATUREMODEL Root { OPTIONAL A OPTIONAL A }",
+)
+
+
+def random_definition_soup(rng: random.Random) -> str:
+    """Random definition words, punctuation and statement heads, occasionally
+    salted with an illegal character. It starts with a phrase, and a third
+    of the soups hold only phrases."""
+    phrases = 1.0 if rng.random() < 0.3 else 0.5
+    parts = [rng.choice(_DEFINITION_PHRASES) if i == 0 or rng.random() < phrases
+             else rng.choice(_DEFINITION_SOUP) for i in range(rng.randint(1, 20))]
     if rng.random() < 0.15:
         parts.insert(rng.randrange(len(parts) + 1), rng.choice(_GARBAGE))
     separator = rng.choice((" ", "  ", "\n", " \n "))

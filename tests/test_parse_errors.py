@@ -13,7 +13,7 @@ from localfeatures import parse, parse_spl_definition
 from localfeatures.errors import LocalFeaturesError, ParseError
 
 from conftest import FIXTURES, packaged
-from generators import random_token_soup
+from generators import random_definition_soup, random_token_soup
 
 PARSERS = pytest.mark.parametrize(
     "call", [parse, parse_spl_definition], ids=["spec", "definition"])
@@ -49,12 +49,42 @@ def check_offsets(error, source):
         assert error.start == 0
 
 
+def check_span(error, source):
+    """An error found while building what was read blames a range of the
+    source, and its position is that of the range's start."""
+    span = error.span
+    assert span is not None, source
+    assert 0 <= span.start <= span.end <= len(source)
+    assert position(source, span.start) == (span.line, span.column)
+
+
 @PARSERS
 def test_token_soup_errors_slice_what_they_blame(call):
     rng = random.Random(91)
     for _ in range(3000):
         soup = random_token_soup(rng)
         check_offsets(raised(call, soup), soup)
+
+
+def test_definition_soups_fail_inside_the_source():
+    """Soups of definition words fail with a ParseError that slices what it
+    blames, or with a model error whose span lies in the source; a few parse.
+    Most fail after their first token, and some only once the models are
+    built."""
+    rng = random.Random(17)
+    later = model_errors = 0
+    for _ in range(3000):
+        soup = random_definition_soup(rng)
+        try:
+            parse_spl_definition(soup)
+        except ParseError as error:
+            check_offsets(error, soup)
+            later += soup[:error.start].strip() != ""
+        except LocalFeaturesError as error:
+            check_span(error, soup)
+            later += 1
+            model_errors += 1
+    assert later >= 1800 and model_errors >= 10, (later, model_errors)
 
 
 @pytest.mark.parametrize("name, call", [
@@ -71,8 +101,8 @@ def test_mutated_sources_slice_what_they_blame(name, call):
             call(source)
         except ParseError as error:
             check_offsets(error, source)
-        except LocalFeaturesError:
-            pass  # a feature model or twin error, which has no position
+        except LocalFeaturesError as error:  # a feature model or twin error
+            check_span(error, source)
 
 
 @pytest.mark.parametrize("source, call, blamed", [

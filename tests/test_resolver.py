@@ -16,6 +16,13 @@ from localfeatures import (
 from localfeatures.errors import UnknownElement
 from localfeatures.resolver import Diagnostic, Provenance
 from localfeatures.spldef import parse_spl_definition
+from localfeatures.syntax import (
+    EntityDecl,
+    FeatureClause,
+    ProductDecl,
+    ProductSpec,
+    PropertyDecl,
+)
 
 from generators import (
     definition_clauses,
@@ -685,6 +692,232 @@ def test_explain_rejects_uncovered_elements(webeiel_resolved):
 def test_diagnostic_sort_key_tolerates_missing_spans():
     bare = Diagnostic("error", "x", "message")
     assert bare.sort_key() == ("<spec>", 0, 0, "x")
+
+
+# -- every resolver code, pinned -------------------------------------------------
+
+# One definition and specification that reach every diagnostic code the
+# resolver has; the tuple below pins each diagnostic, its order and its span.
+GOLDEN_DEFINITION = """\
+VIEWPOINT data (Entity, Row);
+VIEWPOINT visualization (Map, Layer);
+
+FEATUREMODEL G {
+    MANDATORY W {
+        MANDATORY M XOR {
+            A
+            B
+        }
+        OPTIONAL C
+    }
+    OPTIONAL V {
+        OPTIONAL D
+    }
+    MANDATORY X {
+        MANDATORY K XOR {
+            P
+            Q
+        }
+    }
+    OPTIONAL Menu XOR {
+        Top
+        Left
+    }
+}
+
+FEATUREMODEL W {
+    MANDATORY M XOR {
+        A
+        B
+    }
+    OPTIONAL C
+}
+
+FEATUREMODEL V {
+    OPTIONAL D
+}
+
+FEATUREMODEL X {
+    MANDATORY K XOR {
+        P
+        Q
+    }
+}
+
+LOCAL W APPLIED TO data.Entity;
+LOCAL V APPLIED TO data.Entity;
+LOCAL V APPLIED TO data.Row;
+LOCAL X APPLIED TO visualization.Map;
+
+DEFAULTS (D);
+"""
+
+GOLDEN_SPEC = """\
+CREATE ENTITY City (
+    id Long IDENTIFIER,
+    id String,
+    shape Blob,
+    owner Ghost RELATIONSHIP(1..1, 0..*),
+    shop Shop RELATIONSHIP MAPPED_BY nothing
+) WITH FEATURES (A, B);
+
+CREATE ENTITY Shop (
+    id Long IDENTIFIER,
+    city City RELATIONSHIP MAPPED_BY shop
+) WITH FEATURES (C, Bogus, D, Top);
+
+CREATE ENTITY City (id Long IDENTIFIER, size Huge) WITH FEATURES (Nope);
+CREATE ENTITY Depot (id Long IDENTIFIER);
+CREATE ENTITY Zone (id Long IDENTIFIER);
+CREATE ENTITY Yard (id Long IDENTIFIER) WITH FEATURES (A);
+
+CREATE GEOJSON LAYER cities AS Cities FOR City WITH STYLES (plain DEFAULT, plain);
+CREATE GEOJSON LAYER cities AS Again FOR Nowhere WITH STYLES (x DEFAULT);
+CREATE GEOJSON LAYER shops AS Shops FOR Ghost WITH STYLES (s DEFAULT);
+
+CREATE MAP overview AS Overview WITH LAYERS (
+    base IS_BASE_LAYER,
+    cities WITH FEATURES (C),
+    cities,
+    ghost
+) WITH FEATURES (P);
+
+CREATE MAP overview AS Again WITH LAYERS (base IS_BASE_LAYER);
+CREATE MAP shops AS Clash WITH LAYERS (base IS_BASE_LAYER) WITH FEATURES (Q, P);
+
+CREATE GIS Golden WITH FEATURES (Top, Left, Bogus);
+"""
+
+GOLDEN_DIAGNOSTICS = (
+    ("error", "duplicate-property",
+     "entity 'City' declares property 'id' twice",
+     (49, 58, 3, 5), "golden.gis"),
+    ("error", "unknown-type",
+     "property 'shape' of entity 'City' has unknown type 'Blob'",
+     (64, 74, 4, 5), "golden.gis"),
+    ("error", "unknown-entity",
+     "relationship 'owner' of entity 'City' targets unknown entity 'Ghost'",
+     (80, 116, 5, 5), "golden.gis"),
+    ("error", "invalid-mapped-by",
+     "MAPPED_BY 'nothing' names no property of entity 'Shop'",
+     (122, 162, 6, 5), "golden.gis"),
+    ("error", "invalid-selection",
+     "selection for 'data.City' is invalid against 'W': xor group 'M' has 2 selected "
+     "children, needs exactly 1",
+     (165, 185, 7, 3), "golden.gis"),
+    ("error", "invalid-mapped-by",
+     "MAPPED_BY target City.shop is not a BIDIRECTIONAL relationship",
+     (237, 274, 11, 5), "golden.gis"),
+    ("error", "unknown-feature",
+     "entity 'Shop' selects 'Bogus', which is not a feature of local model 'W'",
+     (277, 309, 12, 3), "golden.gis"),
+    ("error", "unknown-feature",
+     "entity 'Shop' selects 'D', which is not a feature of local model 'W'; it belongs to "
+     "local model 'V'",
+     (277, 309, 12, 3), "golden.gis"),
+    ("error", "unknown-feature",
+     "entity 'Shop' selects 'Top', which is not a feature of local model 'W'; it belongs to "
+     "the global model",
+     (277, 309, 12, 3), "golden.gis"),
+    ("error", "duplicate-name",
+     "entity 'City' is declared twice",
+     (312, 384, 14, 1), "golden.gis"),
+    ("error", "unknown-type",
+     "property 'size' of entity 'City' has unknown type 'Huge'",
+     (352, 361, 14, 41), "golden.gis"),
+    ("error", "duplicate-style",
+     "layer 'cities' declares style 'plain' twice",
+     (528, 610, 19, 1), "golden.gis"),
+    ("error", "duplicate-name",
+     "layer 'cities' is declared twice",
+     (611, 684, 20, 1), "golden.gis"),
+    ("error", "unknown-entity",
+     "layer 'shops' is FOR unknown entity 'Ghost'",
+     (685, 755, 21, 1), "golden.gis"),
+    ("error", "no-metaclass",
+     "definition declares no visualization.LayerInMap; cannot place element 'overview.base'",
+     (807, 825, 24, 5), "golden.gis"),
+    ("error", "no-metaclass",
+     "definition declares no visualization.LayerInMap; cannot place element "
+     "'overview.cities'",
+     (831, 855, 25, 5), "golden.gis"),
+    ("error", "no-local-model",
+     "layer 'cities' in map 'overview' has a feature clause, but no local model is applied "
+     "to visualization.LayerInMap",
+     (838, 855, 25, 12), "golden.gis"),
+    ("error", "duplicate-name",
+     "map 'overview' references layer 'cities' twice",
+     (861, 867, 26, 5), "golden.gis"),
+    ("error", "no-metaclass",
+     "definition declares no visualization.LayerInMap; cannot place element 'overview.ghost'",
+     (873, 878, 27, 5), "golden.gis"),
+    ("error", "unknown-layer",
+     "map 'overview' references undeclared layer 'ghost'",
+     (873, 878, 27, 5), "golden.gis"),
+    ("error", "duplicate-name",
+     "map 'overview' is declared twice",
+     (901, 963, 30, 1), "golden.gis"),
+    ("error", "duplicate-name",
+     "map 'shops' has the same name as layer 'shops'",
+     (964, 1044, 31, 1), "golden.gis"),
+    ("error", "no-metaclass",
+     "definition declares no visualization.LayerInMap; cannot place element 'shops.base'",
+     (1003, 1021, 31, 40), "golden.gis"),
+    ("error", "invalid-global-selection",
+     "global selection is invalid: xor group 'M' has 0 selected children, needs exactly 1",
+     (1046, 1097, 33, 1), "golden.gis"),
+    ("error", "invalid-global-selection",
+     "global selection is invalid: xor group 'K' has 0 selected children, needs exactly 1",
+     (1046, 1097, 33, 1), "golden.gis"),
+    ("error", "invalid-global-selection",
+     "global selection is invalid: xor group 'Menu' has 2 selected children, needs exactly 1",
+     (1046, 1097, 33, 1), "golden.gis"),
+    ("error", "unknown-feature",
+     "product selects 'Bogus', which is not a feature of the global model 'G'",
+     (1064, 1096, 33, 19), "golden.gis"),
+    ("warning", "inert-local",
+     "LOCAL V APPLIED TO data.Row binds nothing: specification elements are only "
+     "data.Entity, visualization.Layer, visualization.Map, visualization.LayerInMap",
+     (631, 659, 48, 1), "golden.spl"),
+    ("error", "invalid-global-default",
+     "global default for local model 'W' is invalid (xor group 'M' has 0 selected children, "
+     "needs exactly 1) and data.City, data.Depot, data.Shop (and 1 more) fall back to it",
+     (699, 712, 51, 1), "golden.spl"),
+    ("warning", "invalid-global-default",
+     "global default for local model 'X' is invalid (xor group 'K' has 0 selected children, "
+     "needs exactly 1); no element falls back to it",
+     (699, 712, 51, 1), "golden.spl"),
+)
+
+
+def test_every_resolver_code_is_pinned():
+    definition = parse_spl_definition(GOLDEN_DEFINITION, filename="golden.spl")
+    resolved = resolve_text(GOLDEN_SPEC, definition, name="golden.gis")
+    assert resolved.diagnostics == GOLDEN_DIAGNOSTICS
+    default_w = {"W", "M", "V", "D"}
+    assert resolved.effective == {
+        "data.City": default_w, "data.Shop": default_w, "data.Depot": default_w,
+        "data.Zone": default_w, "data.Yard": default_w | {"A"},
+        "visualization.overview": {"X", "K", "P"}}
+    assert resolved.included == ("A", "D", "G", "K", "Left", "M", "Menu", "P", "Top",
+                                 "V", "W", "X")
+    assert {element: span.line for element, span in resolved.clause_spans.items()} == {
+        "data.Yard": 17, "visualization.overview": 28}
+
+
+def test_a_repeated_declaration_node_is_placed_once(gis_definition):
+    city = EntityDecl("City", (PropertyDecl("id", "Long", ("IDENTIFIER",)),
+                               PropertyDecl("x", "Foo")), FeatureClause(("List",)))
+    resolved = resolve(ProductSpec((city, city), (), (), ProductDecl("P")), gis_definition)
+    nowhere = (0, 0, 1, 1)
+    unknown = "property 'x' of entity 'City' has unknown type 'Foo'"
+    assert resolved.diagnostics == (
+        ("error", "duplicate-name", "entity 'City' is declared twice", nowhere, "<spec>"),
+        ("error", "unknown-type", unknown, nowhere, "<spec>"),
+        ("error", "unknown-type", unknown, nowhere, "<spec>"))
+    assert [b.element for b in resolved.multimodel.bindings] == ["data.City"]
+    assert resolved.effective == {"data.City": {"EntityFeature", "List"}}
+    assert resolved.clause_spans == {"data.City": nowhere}
 
 
 # -- definition-aware fuzz ------------------------------------------------------------
