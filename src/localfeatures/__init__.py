@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # first use of one of its names (PEP 562), so `import localfeatures` loads
 # no submodule and `lfc` loads only the layers its command runs.
 _EXPORTS = {
-    "emitter": ("derivation_config", "emit", "verify_schema"),
+    "emitter": ("emit", "verify_schema"),
     "features": (
         "Configuration", "CrossTreeConstraint", "Feature", "FeatureModel",
         "RuleViolation", "ValidationReport", "build_feature_model",

@@ -6,9 +6,10 @@ sorted at every level, arrays in declaration order except feature lists
 same resolved product are byte-identical. Emission refuses while any
 error-severity diagnostic is present.
 
-The text is exactly what json.dumps(derivation_config(resolved),
-ensure_ascii=False, indent=2, sort_keys=True) writes, plus a final newline;
-the tests keep that call as the oracle. emit() builds no such tree. Straight
+The text is exactly what json.dumps(document, ensure_ascii=False, indent=2,
+sort_keys=True) writes for the document laid out as nested dicts and lists,
+plus a final newline; the tests keep that dict builder and call as the
+oracle. emit() builds no such tree. Straight
 from the spec and the resolved product, it fills templates of the document's
 fixed shape, keys in sorted order and each record indented for its depth,
 and quotes strings with the C json.encoder.encode_basestring. Elements share
@@ -189,73 +190,6 @@ def _write_map(decl: MapDecl) -> str:
         center = _CENTER % _block("[]", pairs, 8)
     refs = [_LAYER_REF % (_strings(r.flags, 12), _quote(r.name)) for r in decl.layers]
     return _MAP % (center, _quote(decl.display_name), _block("[]", refs, 8), _quote(decl.name))
-
-
-def derivation_config(resolved: ResolvedProduct) -> dict:
-    """The emitted structure, before serialization."""
-    spec = resolved.spec
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "product": spec.product.name,
-        "features": list(resolved.included),
-        "data": {
-            "entities": [_entity(e) for e in spec.entities],
-        },
-        "visualization": {
-            "layers": [_layer(l) for l in spec.layers],
-            "maps": [_map(m) for m in spec.maps],
-        },
-        "bindings": {
-            element: sorted(config)
-            for element, config in resolved.effective.items()
-        },
-    }
-
-
-def _entity(decl: EntityDecl) -> dict:
-    return {
-        "name": decl.name,
-        "properties": [_property(p) for p in decl.properties],
-    }
-
-
-def _property(prop: PropertyDecl) -> dict:
-    out: dict = {
-        "name": prop.name,
-        "type": prop.type_name,
-        "flags": list(prop.flags),
-    }
-    rel = prop.relationship
-    if rel is not None:
-        if rel.mapped_by is not None:
-            out["relationship"] = {"mappedBy": rel.mapped_by}
-        else:
-            out["relationship"] = {
-                "cardinalities": [str(c) for c in rel.cardinalities],
-                "bidirectional": rel.bidirectional,
-            }
-    return out
-
-
-def _layer(decl: LayerDecl) -> dict:
-    return {
-        "name": decl.name,
-        "displayName": decl.display_name,
-        "entity": decl.entity,
-        "source": decl.source_kind,
-        "styles": [{"name": s.name, "default": s.is_default} for s in decl.styles],
-    }
-
-
-def _map(decl: MapDecl) -> dict:
-    out: dict = {
-        "name": decl.name,
-        "displayName": decl.display_name,
-        "layers": [{"layer": r.name, "flags": list(r.flags)} for r in decl.layers],
-    }
-    if decl.center is not None:
-        out["center"] = [list(pair) for pair in decl.center.corners]
-    return out
 
 
 @lru_cache(maxsize=1)

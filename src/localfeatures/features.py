@@ -9,17 +9,19 @@ one selected child, or groups at least one, and requires/excludes constraints
 hold. Features play no role when their parent is unselected.
 
 Each model's index, laid out once, serves lookups, closure and enumeration;
-validate_configuration reads only the tree. Closure runs in passes from what
-the previous pass added, the seeds and root at first: their parents in name
-order, mandatory descendants of them and the new parents, then one requires
-sweep in declaration order. That order decides which rule gets the credit.
+validate_configuration reads only the tree. Enumeration composes subtree
+configuration lists bottom-up: a product over a feature's children, a union
+over an xor group's, each constraint filtering at its endpoints' lowest
+common ancestor. Closure runs in passes from what the previous pass added,
+the seeds and root at first: their parents in name order, mandatory
+descendants of them and the new parents, then one requires sweep in
+declaration order. That order decides which rule gets the credit.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import compress
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import (
@@ -118,40 +120,8 @@ class FeatureModel(Record):
         end = list(range(1, n + 1))
         for i in range(n - 1, 0, -1):
             end[parent[i]] = max(end[parent[i]], end[i])
-        rule = [_FORCED] * n
-        last = [False] * n
-        earlier: list[tuple[int, ...]] = [()] * n
-        for f in features:
-            kids = [position[c.name] for c in f.children]
-            for k, (i, c) in enumerate(zip(kids, f.children)):
-                if f.group is None:
-                    rule[i] = _FORCED if c.kind == MANDATORY else _FREE
-                else:
-                    rule[i] = _XOR if f.group == XOR else _FREE
-                    last[i] = k == len(kids) - 1
-                    earlier[i] = tuple(kids[:k])
-
-        needs: list[list[int]] = [[] for _ in range(n)]
-        forbids: list[list[int]] = [[] for _ in range(n)]
-        skip_forbids: list[list[int]] = [[] for _ in range(n)]
-        for ct in self.constraints:
-            lhs, rhs = position[ct.lhs], position[ct.rhs]
-            if ct.kind == EXCLUDES:
-                forbids[max(lhs, rhs)].append(min(lhs, rhs))
-            elif lhs > rhs:
-                needs[lhs].append(rhs)
-            else:
-                # rhs is dropped with any subtree holding it; a subtree rooted
-                # after lhs cannot hold lhs, which must then be unselected
-                i = rhs
-                while i > lhs:
-                    skip_forbids[i].append(lhs)
-                    i = parent[i]
         requires = tuple((ct.lhs, ct.rhs) for ct in self.constraints if ct.kind == REQUIRES)
-        return FeatureIndex(
-            tuple(features), position, tuple(parent), tuple(end), requires,
-            tuple(rule), tuple(last), tuple(earlier), tuple(map(tuple, needs)),
-            tuple(map(tuple, forbids)), tuple(map(tuple, skip_forbids)))
+        return FeatureIndex(tuple(features), position, tuple(parent), tuple(end), requires)
 
     @cached_property
     def feature_names(self) -> frozenset[str]:
@@ -222,23 +192,11 @@ def _normalize(f: Feature, *, is_root: bool = False, in_group: bool = False) -> 
     return Feature(f.name, kind, f.group, f.abstract, children)
 
 
-# How enumerate_configurations decides a feature whose parent is selected.
-# A group's last child is selected when no earlier sibling is.
-_FORCED = 0   # the root or a mandatory child: selected
-_FREE = 1     # an optional or an or-group child: either way
-_XOR = 2      # an xor-group child: unselected once an earlier sibling is
-
-
 class FeatureIndex(NamedTuple):
     """A feature model's tree facts, by preorder position.
 
     A feature's subtree occupies positions [i, end[i]), and requires holds
-    the requires constraints as (lhs, rhs) names in declaration order. For
-    enumerate_configurations, grouped children list their earlier siblings
-    and last marks a group's final child. Each cross-tree constraint is
-    checked when its second endpoint is decided: selecting a feature needs
-    some earlier positions selected and forbids others, and dropping a
-    subtree forbids the left sides of requires whose right sides it holds.
+    the requires constraints as (lhs, rhs) names in declaration order.
     """
 
     features: tuple[Feature, ...]
@@ -246,12 +204,6 @@ class FeatureIndex(NamedTuple):
     parent: tuple[int, ...]
     end: tuple[int, ...]
     requires: tuple[tuple[str, str], ...]
-    rule: tuple[int, ...]
-    last: tuple[bool, ...]
-    earlier: tuple[tuple[int, ...], ...]
-    needs: tuple[tuple[int, ...], ...]
-    forbids: tuple[tuple[int, ...], ...]
-    skip_forbids: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -337,61 +289,57 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
 # ---------------------------------------------------------------------------
 
 def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[Configuration]:
-    """All valid configurations, by backtracking over the tree.
+    """All valid configurations, composed bottom-up over the tree.
 
-    Features are decided one at a time in preorder, each with its parent
-    already selected: the root and mandatory children are forced, an
-    unselected feature drops its whole subtree in one step, an xor group
-    takes exactly one child and an or group at least one (the last undecided
-    child is forced when the group still needs it), and each cross-tree
-    constraint is checked as soon as both of its endpoints are decided.
-    Validity is re-derived here from the tree semantics instead of delegating
-    to validate_configuration, so the two routes check each other.
-    Deterministic: the result is sorted by the sorted feature-name tuple.
+    A feature's configurations are its name joined with the product of its
+    children's lists, where an optional child also offers "not taken"; an
+    or group drops the entry that takes no child, and an xor group unites
+    its children's lists instead. Each cross-tree constraint filters the
+    list at its endpoints' lowest common ancestor once the child holding
+    the later endpoint is folded in (at an xor group, after the union), so
+    no doomed partial selection is extended. Validity is re-derived from the
+    tree semantics, not taken from validate_configuration, so the two check
+    each other. The result is sorted by the sorted feature-name tuple.
     """
-    index = fm.index
-    names = [f.name for f in index.features]
-    n = len(names)
-    if n > max_features:
+    features, position, parent, end, _ = fm.index
+    if len(features) > max_features:
         raise ModelTooLarge(
-            f"model has {n} features, enumeration capped at {max_features}")
+            f"model has {len(features)} features, enumeration capped at {max_features}")
 
-    end, rule, last, earlier = index.end, index.rule, index.last, index.earlier
-    needs, forbids, skip_forbids = index.needs, index.forbids, index.skip_forbids
-    sel = [False] * n
-    unselected = [False] * n
-    found: list[Configuration] = []
-    # Each entry is a position and the decision still to try there, under
-    # the decisions that sel holds for every earlier position.
-    stack: list[tuple[int, bool]] = [(0, True)]
-    while stack:
-        i, take = stack.pop()
-        while True:
-            if take:
-                if (any(not sel[j] for j in needs[i])
-                        or any(sel[j] for j in forbids[i])):
-                    break
-                sel[i] = True
-                i += 1
+    # Each constraint goes under the child of its endpoints' lowest common
+    # ancestor whose subtree holds the later endpoint.
+    checks: dict[int, list[CrossTreeConstraint]] = {}
+    for ct in fm.constraints:
+        earlier, c = sorted((position[ct.lhs], position[ct.rhs]))
+        while not parent[c] <= earlier < end[parent[c]]:
+            c = parent[c]
+        checks.setdefault(c, []).append(ct)
+
+    def check(found: list[Configuration], c: int) -> list[Configuration]:
+        for kind, lhs, rhs in checks.get(c, ()):
+            if kind == REQUIRES:
+                found = [s for s in found if lhs not in s or rhs in s]
             else:
-                if any(sel[j] for j in skip_forbids[i]):
-                    break
-                sel[i:end[i]] = unselected[i:end[i]]
-                i = end[i]
-            if i == n:
-                found.append(frozenset(compress(names, sel)))
-                break
-            r = rule[i]
-            taken = any(sel[j] for j in earlier[i])
-            if r == _XOR and taken:
-                take = False
-            elif r == _FORCED or (last[i] and not taken):
-                take = True
-            else:
-                stack.append((i, False))
-                take = True
-    found.sort(key=sorted)
-    return found
+                found = [s for s in found if lhs not in s or rhs not in s]
+        return found
+
+    def configurations(i: int) -> list[Configuration]:
+        f = features[i]
+        own = frozenset((f.name,))
+        kids = [position[c.name] for c in f.children]
+        if f.group == XOR:
+            found = [own | s for c in kids for s in configurations(c)]
+            for c in kids:
+                found = check(found, c)
+            return found
+        found = [own]
+        for c, child in zip(kids, f.children):
+            product = [s | t for t in configurations(c) for s in found]
+            found = product if f.group is None and child.kind == MANDATORY else found + product
+            found = check(found, c)
+        return [s for s in found if len(s) > 1] if f.group == OR else found
+
+    return sorted(configurations(0), key=sorted)
 
 
 # ---------------------------------------------------------------------------

@@ -249,15 +249,13 @@ class TokenStream:
         shown = kind if kind is EOF else f"{self.texts[self.pos]!r}"
         raise ParseError.at(f"unexpected {shown}", self.span(self.pos), expected)
 
-    def span(self, first: int, last: int | None = None) -> Span:
-        """From the start of token first to the end of token last (first
-        when omitted), with the line and column of its start."""
+    def span(self, first: int) -> Span:
+        """Token first's span, with the line and column of its start."""
         ends = self._ends
         start = ends[first] - len(self.texts[first])
         starts = self._line_starts
         line = bisect_right(starts, start)
-        return _new(Span, (start, ends[first if last is None else last], line,
-                           start - starts[line - 1] + 1))
+        return _new(Span, (start, ends[first], line, start - starts[line - 1] + 1))
 
     def span_from(self, first: int) -> Span:
         """From token first to the last token the cursor moved past."""

@@ -227,9 +227,10 @@ class _Resolution:
     def place_all(self, mm: Multimodel) -> None:
         """Visit each declaration once, in the specification's order, after
         a first pass over the entity names, which properties may name before
-        they are declared. A visit checks the declaration's names; the first
-        declaration of each name, and each map's first reference to each
-        layer, is then placed."""
+        they are declared. A visit checks every declaration's names and
+        clause; the first declaration of each name, and each map's first
+        reference to each layer, is then placed. A repeat is not placed, nor
+        are its map's layer references, so its clause is checked, not bound."""
         entity, layer, map_, layer_in_map = (self.slot(mm, *place.split("."))
                                              for place in PLACED_METACLASSES)
         entities: dict[str, EntityDecl] = {}
@@ -240,11 +241,12 @@ class _Resolution:
             self.check_properties(decl, entities)
             if self.first(declared, entity, decl.name, decl.span):
                 self.place(mm, entity, decl.name, decl.span, decl.features)
+            else:
+                self.bind(mm, entity, decl.name, decl.features, None)
 
         layers: set[str] = set()
         for decl in self.spec.layers:
-            if not self.first(layers, layer, decl.name, decl.span):
-                continue
+            first = self.first(layers, layer, decl.name, decl.span)
             if decl.entity not in entities:
                 self.report("unknown-entity",
                             f"layer {decl.name!r} is FOR unknown entity {decl.entity!r}",
@@ -256,13 +258,16 @@ class _Resolution:
                                 f"layer {decl.name!r} declares style {style.name!r} twice",
                                 decl.span)
                 styles.add(style.name)
-            self.place(mm, layer, decl.name, decl.span, None)
+            if first:
+                self.place(mm, layer, decl.name, decl.span, None)
 
         maps: set[str] = set()
         for decl in self.spec.maps:
-            if not self.first(maps, map_, decl.name, decl.span):
-                continue
-            self.place(mm, map_, decl.name, decl.span, decl.features)
+            first = self.first(maps, map_, decl.name, decl.span)
+            if first:
+                self.place(mm, map_, decl.name, decl.span, decl.features)
+            else:
+                self.bind(mm, map_, decl.name, decl.features, None)
             refs: set[str] = set()
             for ref in decl.layers:
                 # base layers are built-in tile sources, not declared data layers
@@ -276,8 +281,11 @@ class _Resolution:
                                 ref.span)
                     continue
                 refs.add(ref.name)
-                self.place(mm, layer_in_map, f"{decl.name}.{ref.name}", ref.span,
-                           ref.features)
+                name = f"{decl.name}.{ref.name}"
+                if first:
+                    self.place(mm, layer_in_map, name, ref.span, ref.features)
+                else:
+                    self.bind(mm, layer_in_map, name, ref.features, None)
 
     def first(self, seen: set[str], slot: tuple, name: str, span: Span) -> bool:
         """Whether a declaration is the first of its name, which joins seen;
@@ -354,7 +362,7 @@ class _Resolution:
         else:
             entities[name] = _new(ModelEntity, (name, metaclass))
             element = f"{viewpoint}.{name}"
-            config = None if clause is None else self.bind(mm, slot, name, clause, element)
+            config = self.bind(mm, slot, name, clause, element)
             # a single covering model's configuration is stored as is, so
             # elements share it
             for local_model in covering if config is None else covering[1:]:
@@ -364,17 +372,19 @@ class _Resolution:
             if config is not None:
                 self.effective[element] = config
             return
-        if clause is not None:  # an unplaced element's clause is checked, never bound
-            self.bind(mm, slot, name, clause, None)
+        self.bind(mm, slot, name, clause, None)  # an unplaced element's clause is checked
 
-    def bind(self, mm: Multimodel, slot: tuple, name: str, clause: FeatureClause,
+    def bind(self, mm: Multimodel, slot: tuple, name: str, clause: FeatureClause | None,
              element: str | None) -> Configuration | None:
         """Bind a placed element's clause through the first local model
-        covering its slot, and return the closed selection; None if the
-        clause does not bind, or if element is None (not placed). The seeds of
-        a fully known clause are worked out once per local model and list of
-        names; a clause with an unknown feature is checked afresh for each
-        element, so each gets its own diagnostics."""
+        covering its slot, and return the closed selection; None if there is
+        no clause, if it does not bind, or if element is None (not placed, so
+        the clause is only checked). The seeds of a fully known clause are
+        worked out once per local model and list of names; a clause with an
+        unknown feature is checked afresh for each element, so each gets its
+        own diagnostics."""
+        if clause is None:
+            return None
         viewpoint, metaclass, _, covering = slot
         if not covering:
             self.report("no-local-model",

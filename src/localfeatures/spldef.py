@@ -54,7 +54,8 @@ from .syntax import Span
 
 _INDENT = "    "
 # Deep enough for any hand-written model, shallow enough that the recursive
-# parser, build_feature_model and format_spl all stay within Python's stack.
+# parser, build_feature_model, enumerate_configurations and format_spl all
+# stay within Python's stack.
 MAX_FEATURE_DEPTH = 200
 
 

@@ -6,12 +6,13 @@ so failures replay from the seed.
 
 Also the slow oracles the library's fast paths are checked against: the
 brute-force configuration enumerator, the whole-model fixpoint closure, the
-character-at-a-time tokenizer and the token-at-a-time reading of keyword
-runs and name lists."""
+character-at-a-time tokenizer, the token-at-a-time reading of keyword runs
+and name lists, and the derivation document as a dict for json.dumps."""
 
 import random
 from typing import Callable
 
+from localfeatures.emitter import SCHEMA_VERSION
 from localfeatures.errors import ParseError
 from localfeatures.features import (
     EXCLUDES,
@@ -28,6 +29,7 @@ from localfeatures.features import (
     build_feature_model,
 )
 from localfeatures.lexer import DEFINITION_KEYWORDS, EOF, IDENT, NUMBER, TokenStream, tokenize
+from localfeatures.resolver import ResolvedProduct
 from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
     BoundingBox,
@@ -287,6 +289,75 @@ def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
         else:
             mutants.append(head)
     return mutants
+
+
+def derivation_config(resolved: ResolvedProduct) -> dict:
+    """The document emit() writes, as the nested dicts and lists that
+    json.dumps(..., ensure_ascii=False, indent=2, sort_keys=True) turns into
+    the same text: the oracle of the emitter's templates."""
+    spec = resolved.spec
+    return {
+        "schemaVersion": SCHEMA_VERSION,
+        "product": spec.product.name,
+        "features": list(resolved.included),
+        "data": {
+            "entities": [_entity(e) for e in spec.entities],
+        },
+        "visualization": {
+            "layers": [_layer(l) for l in spec.layers],
+            "maps": [_map(m) for m in spec.maps],
+        },
+        "bindings": {
+            element: sorted(config)
+            for element, config in resolved.effective.items()
+        },
+    }
+
+
+def _entity(decl: EntityDecl) -> dict:
+    return {
+        "name": decl.name,
+        "properties": [_property(p) for p in decl.properties],
+    }
+
+
+def _property(prop: PropertyDecl) -> dict:
+    out: dict = {
+        "name": prop.name,
+        "type": prop.type_name,
+        "flags": list(prop.flags),
+    }
+    rel = prop.relationship
+    if rel is not None:
+        if rel.mapped_by is not None:
+            out["relationship"] = {"mappedBy": rel.mapped_by}
+        else:
+            out["relationship"] = {
+                "cardinalities": [str(c) for c in rel.cardinalities],
+                "bidirectional": rel.bidirectional,
+            }
+    return out
+
+
+def _layer(decl: LayerDecl) -> dict:
+    return {
+        "name": decl.name,
+        "displayName": decl.display_name,
+        "entity": decl.entity,
+        "source": decl.source_kind,
+        "styles": [{"name": s.name, "default": s.is_default} for s in decl.styles],
+    }
+
+
+def _map(decl: MapDecl) -> dict:
+    out: dict = {
+        "name": decl.name,
+        "displayName": decl.display_name,
+        "layers": [{"layer": r.name, "flags": list(r.flags)} for r in decl.layers],
+    }
+    if decl.center is not None:
+        out["center"] = [list(pair) for pair in decl.center.corners]
+    return out
 
 
 def nested_spl(depth: int) -> str:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from localfeatures import emit, parse, resolve, verify_schema
-from localfeatures.emitter import SCHEMA_VERSION, _write, derivation_config
+from localfeatures.emitter import SCHEMA_VERSION, _write
 from localfeatures.errors import UnresolvedErrors
 from localfeatures.resolver import ResolvedProduct
 from localfeatures.syntax import (
@@ -25,7 +25,7 @@ from localfeatures.syntax import (
     StyleRef,
 )
 
-from generators import definition_clauses, random_spec, scale_spec_text
+from generators import derivation_config, definition_clauses, random_spec, scale_spec_text
 
 
 @pytest.fixture(scope="session")

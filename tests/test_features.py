@@ -25,10 +25,12 @@ from localfeatures.errors import (
     SelfConstraint,
     UnknownFeature,
 )
-from localfeatures.features import MANDATORY, OPTIONAL, XOR
+from localfeatures.features import MANDATORY, OPTIONAL, OR, XOR
+from localfeatures.spldef import MAX_FEATURE_DEPTH, parse_spl_definition
 
 from generators import (
     brute_force_configurations,
+    nested_spl,
     random_feature_model,
     reference_close_selection_traced,
 )
@@ -292,6 +294,60 @@ def test_enumeration_counts_a_constrained_wide_model():
     assert frozenset({"R", "G", "L0", "O1", "O2"}) in configs
     assert frozenset({"R", "G", "L1", "O1"}) not in configs
     assert frozenset({"R", "G", "L1", "O2"}) not in configs
+
+
+# Each tree with constraints whose endpoints meet at one kind of node; the
+# constraints must bite, so the unconstrained tree has more configurations.
+MEETING_CONSTRAINTS = {
+    "under an xor group": (
+        mandatory("R",
+                  optional("X", optional("A", optional("A1")),
+                           optional("B", optional("B1")), optional("C"), group=XOR),
+                  optional("D")),
+        (requires("A1", "B1"), requires("C", "D"), excludes("B1", "D"))),
+    "under an or group": (
+        mandatory("R",
+                  mandatory("O", optional("A", optional("A1")), optional("B"),
+                            optional("C", optional("C1")), group=OR)),
+        (requires("A1", "C1"), excludes("B", "C1"), requires("C", "A"))),
+    "between a feature and its descendant": (
+        mandatory("R",
+                  optional("P", optional("Q", optional("S")), optional("T")),
+                  optional("X", optional("A"), optional("B"), group=XOR)),
+        (requires("P", "S"), excludes("T", "Q"), requires("X", "B"),
+         excludes("R", "T"))),
+}
+
+
+@pytest.mark.parametrize("meeting", MEETING_CONSTRAINTS)
+def test_enumeration_filters_constraints_where_their_endpoints_meet(meeting):
+    root, constraints = MEETING_CONSTRAINTS[meeting]
+    fm = build_feature_model(root, constraints)
+    configs = enumerate_configurations(fm)
+    assert configs == brute_force_configurations(fm)
+    assert len(configs) < len(brute_force_configurations(build_feature_model(root)))
+
+
+def test_enumeration_prunes_a_requires_chain_as_it_goes():
+    # L0 requires L1, ..., L17 requires L18: the valid selections of the 19
+    # leaves are the 20 suffixes of L0..L18, out of 2^19 products
+    leaves = [f"L{i}" for i in range(19)]
+    fm = build_feature_model(
+        mandatory("R", *map(optional, leaves)),
+        [requires(a, b) for a, b in zip(leaves, leaves[1:])])
+    started = time.perf_counter()
+    configs = enumerate_configurations(fm)
+    assert time.perf_counter() - started < 0.5
+    assert configs == sorted(
+        (frozenset({"R", *leaves[i:]}) for i in range(20)), key=sorted)
+
+
+def test_enumeration_recurses_through_the_deepest_parsable_model():
+    fm = parse_spl_definition(nested_spl(MAX_FEATURE_DEPTH)).functional.global_model
+    configs = enumerate_configurations(fm, max_features=MAX_FEATURE_DEPTH + 1)
+    chain = ["R"] + [f"F{i}" for i in range(1, MAX_FEATURE_DEPTH + 1)]
+    assert configs == sorted(
+        (frozenset(chain[:i]) for i in range(1, len(chain) + 1)), key=sorted)
 
 
 @pytest.mark.parametrize("seed", range(20))

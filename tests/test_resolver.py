@@ -184,6 +184,67 @@ def test_duplicate_declarations_are_reported(gis_definition):
         ("visualization.n.b", "LayerInMap"), ("visualization.n.l", "LayerInMap")]
 
 
+def lines_by_code(resolved):
+    return [(d.span.line, d.code) for d in resolved.diagnostics]
+
+
+def test_a_repeated_entity_has_its_clause_checked_but_not_bound(gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (List);\n"
+              "CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (Nope);\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert lines_by_code(resolved) == [(2, "duplicate-name"), (2, "unknown-feature")]
+    assert "entity 'City' selects 'Nope'" in resolved.diagnostics[1].message
+    assert [b.element for b in resolved.multimodel.bindings] == ["data.City"]
+    assert resolved.effective == {"data.City": {"EntityFeature", "List"}}
+
+
+def test_a_repeated_layer_has_its_entity_and_styles_checked(gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER);\n"
+              "CREATE GEOJSON LAYER l AS L FOR City WITH STYLES (a DEFAULT);\n"
+              "CREATE GEOJSON LAYER l AS Again FOR Nowhere WITH STYLES (a DEFAULT, a);\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert lines_by_code(resolved) == [
+        (3, "duplicate-name"), (3, "duplicate-style"), (3, "unknown-entity")]
+    assert "FOR unknown entity 'Nowhere'" in resolved.diagnostics[2].message
+    assert placed(resolved.multimodel) == [("data.City", "Entity"), ("visualization.l", "Layer")]
+
+
+def test_a_repeated_map_has_its_clause_checked_but_not_bound(gis_definition):
+    source = ("CREATE MAP m AS M WITH LAYERS (b IS_BASE_LAYER) WITH FEATURES (LayerManager);\n"
+              "CREATE MAP m AS Again WITH LAYERS (b IS_BASE_LAYER) WITH FEATURES (Bogus);\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert lines_by_code(resolved) == [(2, "duplicate-name"), (2, "unknown-feature")]
+    assert "map 'm' selects 'Bogus'" in resolved.diagnostics[1].message
+    assert [b.element for b in resolved.multimodel.bindings] == ["visualization.m"]
+    assert resolved.effective["visualization.m"] == {"MapFeature", "LayerManager"}
+
+
+def test_a_repeated_maps_layer_references_are_checked_but_not_placed(gis_definition):
+    source = ("CREATE ENTITY City (id Long IDENTIFIER);\n"
+              "CREATE GEOJSON LAYER l AS L FOR City WITH STYLES (a DEFAULT);\n"
+              "CREATE MAP m AS M WITH LAYERS (b IS_BASE_LAYER);\n"
+              "CREATE MAP m AS Again WITH LAYERS (\n"
+              "    b IS_BASE_LAYER,\n"
+              "    ghost,\n"
+              "    l WITH FEATURES (Nope),\n"
+              "    l\n"
+              ");\n"
+              "CREATE GIS X;")
+    resolved = resolve_text(source, gis_definition)
+    assert lines_by_code(resolved) == [
+        (4, "duplicate-name"), (6, "unknown-layer"), (7, "unknown-feature"),
+        (8, "duplicate-name")]
+    assert "layer 'l' in map 'm' selects 'Nope'" in resolved.diagnostics[2].message
+    assert "references layer 'l' twice" in resolved.diagnostics[3].message
+    assert placed(resolved.multimodel) == [
+        ("data.City", "Entity"), ("visualization.l", "Layer"),
+        ("visualization.m", "Map"), ("visualization.m.b", "LayerInMap")]
+    assert resolved.multimodel.bindings == ()
+
+
 def test_unknown_property_type_is_reported(gis_definition):
     source = ("CREATE ENTITY City (id Long IDENTIFIER, x Foo);\n"
               "CREATE GIS X;")
@@ -825,11 +886,17 @@ GOLDEN_DIAGNOSTICS = (
     ("error", "unknown-type",
      "property 'size' of entity 'City' has unknown type 'Huge'",
      (352, 361, 14, 41), "golden.gis"),
+    ("error", "unknown-feature",
+     "entity 'City' selects 'Nope', which is not a feature of local model 'W'",
+     (363, 383, 14, 52), "golden.gis"),
     ("error", "duplicate-style",
      "layer 'cities' declares style 'plain' twice",
      (528, 610, 19, 1), "golden.gis"),
     ("error", "duplicate-name",
      "layer 'cities' is declared twice",
+     (611, 684, 20, 1), "golden.gis"),
+    ("error", "unknown-entity",
+     "layer 'cities' is FOR unknown entity 'Nowhere'",
      (611, 684, 20, 1), "golden.gis"),
     ("error", "unknown-entity",
      "layer 'shops' is FOR unknown entity 'Ghost'",
