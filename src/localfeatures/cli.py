@@ -15,7 +15,7 @@ import argparse
 import os
 import stat
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import (
     LocalFeaturesError,
@@ -41,6 +41,8 @@ def main(argv: list[str] | None = None) -> int:
         status = args.handler(args)
         sys.stdout.flush()
         return status
+    except _Exit as exc:
+        return exc.status
     except BrokenPipeError:
         # The reader went away (as in `lfc enumerate ... | head -1`). Point
         # stdout at devnull so the interpreter's final flush fails silently.
@@ -149,72 +151,71 @@ def print_diagnostics(diagnostics: tuple[Diagnostic, ...], fmt: str) -> None:
               file=sys.stderr)
 
 
-def _report_error(code: str, message: str, span: Span | None, path: str, fmt: str) -> int:
-    """Print one error diagnostic; returns the exit code 1."""
+class _Exit(Exception):
+    """Ends a command whose failure is already printed; main returns its status."""
+
+    def __init__(self, status: int):
+        self.status = status
+
+
+def _usage_error(message: object) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise _Exit(USAGE_ERROR)
+
+
+def _report_error(code: str, message: str, span: Span | None, path: str, fmt: str) -> NoReturn:
+    """Print one error diagnostic and exit 1."""
     from .resolver import Diagnostic
 
     print_diagnostics((Diagnostic("error", code, message, span, path),), fmt)
-    return 1
+    raise _Exit(1)
 
 
-def _parse_failure(exc: ParseError, path: str, fmt: str) -> int:
+def _parse_failure(exc: ParseError, path: str, fmt: str) -> NoReturn:
     message = exc.message
     if exc.expected:
         message += f" (expected {', '.join(exc.expected)})"
     span = Span(exc.start, exc.end, exc.line, exc.column)
-    return _report_error("syntax", message, span, path, fmt)
+    _report_error("syntax", message, span, path, fmt)
 
 
-def _load(args) -> ResolvedProduct | int:
-    """Parse and resolve both inputs and print the diagnostics; an int is an
-    exit code to return."""
-    texts = _read_inputs(args.spec, args.spl)
-    if texts is None:
-        return USAGE_ERROR
+def _load(args) -> ResolvedProduct:
+    """Parse and resolve both inputs and print the diagnostics."""
+    spec_text, spl_text = _read_inputs(args.spec, args.spl)
     from .parser import parse
     from .resolver import resolve
 
-    spec_text, spl_text = texts
     fmt = args.format
     try:
         spec = parse(spec_text, filename=args.spec)
     except ParseError as exc:
-        return _parse_failure(exc, args.spec, fmt)
-    definition = _load_definition(spl_text, args.spl, fmt)
-    if isinstance(definition, int):
-        return definition
-    resolved = resolve(spec, definition)
+        _parse_failure(exc, args.spec, fmt)
+    resolved = resolve(spec, _load_definition(spl_text, args.spl, fmt))
     print_diagnostics(resolved.diagnostics, fmt)
     return resolved
 
 
-def _load_definition(text: str, path: str, fmt: str) -> SplDefinition | int:
-    """Parse a definition; an int is an exit code to return."""
+def _load_definition(text: str, path: str, fmt: str) -> SplDefinition:
     from .spldef import parse_spl_definition
 
     try:
         return parse_spl_definition(text, filename=path)
     except ParseError as exc:
-        return _parse_failure(exc, path, fmt)
+        _parse_failure(exc, path, fmt)
     except LocalFeaturesError as exc:
-        return _report_error("definition", str(exc), exc.span, path, fmt)
+        _report_error("definition", str(exc), exc.span, path, fmt)
 
 
-def _read_inputs(*paths: str) -> list[str] | None:
-    """The text of each UTF-8 file, or None after a one-line error naming
-    the first file that cannot be read or decoded."""
+def _read_inputs(*paths: str) -> list[str]:
+    """The text of each UTF-8 file. A file that cannot be read is an
+    OSError, which main reports; one that cannot be decoded is a usage error."""
     texts = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 texts.append(handle.read())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None
         except UnicodeDecodeError as exc:
-            print(f"error: {path}: not UTF-8 text (byte {exc.start}: {exc.reason})",
-                  file=sys.stderr)
-            return None
+            _usage_error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     return texts
 
 
@@ -224,8 +225,6 @@ def _read_inputs(*paths: str) -> list[str] | None:
 
 def cmd_check(args) -> int:
     resolved = _load(args)
-    if isinstance(resolved, int):
-        return resolved
     errors = len(resolved.errors)
     warnings = len(resolved.warnings)
     print(f"{errors} errors, {warnings} warnings")
@@ -234,8 +233,6 @@ def cmd_check(args) -> int:
 
 def cmd_emit(args) -> int:
     resolved = _load(args)
-    if isinstance(resolved, int):
-        return resolved
     if resolved.errors:
         return 1
     from .emitter import emit
@@ -246,8 +243,7 @@ def cmd_emit(args) -> int:
         _write_atomically(out, text)
     except OSError as exc:
         # name the requested path, not the temporary file written beside it
-        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(f"cannot write {out}: {exc.strerror or exc}")
     print(out)
     return 0
 
@@ -281,15 +277,12 @@ def _write_atomically(path: str, text: str) -> None:
 
 def cmd_explain(args) -> int:
     resolved = _load(args)
-    if isinstance(resolved, int):
-        return resolved
     from .resolver import explain
 
     try:
         rows = explain(resolved, args.element)
     except UnknownElement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(exc)
     table = []
     for row in rows:
         origin = f"{row.origin} ({row.detail})" if row.detail else row.origin
@@ -307,8 +300,6 @@ def cmd_explain(args) -> int:
 
 def cmd_features(args) -> int:
     resolved = _load(args)
-    if isinstance(resolved, int):
-        return resolved
     if resolved.errors:
         return 1
     for name in resolved.included:
@@ -317,13 +308,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    texts = _read_inputs(args.spl)
-    if texts is None:
-        return USAGE_ERROR
-    definition = _load_definition(texts[0], args.spl, "text")
-    if isinstance(definition, int):
-        return definition
-
+    definition = _load_definition(_read_inputs(args.spl)[0], args.spl, "text")
     functional = definition.functional
     if args.model == functional.global_model.name:
         model = functional.global_model
@@ -331,16 +316,13 @@ def cmd_enumerate(args) -> int:
         model = functional.locals[args.model]
     else:
         known = ", ".join([functional.global_model.name, *functional.locals])
-        print(f"error: no feature model named {args.model!r} (known: {known})",
-              file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(f"no feature model named {args.model!r} (known: {known})")
     from .features import enumerate_configurations
 
     try:
         configurations = enumerate_configurations(model, args.max)
     except ModelTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        _usage_error(exc)
     print(len(configurations))
     for configuration in configurations:
         print(", ".join(sorted(configuration)))

@@ -223,8 +223,9 @@ class Multimodel:
         return self
 
     def bind_local(self, element: str, local_model: str,
-                   seeds: Configuration | set[str]) -> Multimodel:
-        """Bind an element to the closure of the seeds over a local model.
+                   seeds: Configuration | set[str]) -> Configuration:
+        """Bind an element to the closure of the seeds over a local model and
+        return that closed selection, one object for equal seeds over a model.
 
         The stored selection always contains the local root and must validate
         against the local model. One binding per (element, local model) pair;
@@ -253,7 +254,7 @@ class Multimodel:
                 f"selection for {element!r} is invalid against {local_model!r}: "
                 + "; ".join(v.message for v in report.violations))
         self._bindings[key] = _new(LocalBinding, (element, local_model, selection, trace))
-        return self
+        return selection
 
     def remove_binding(self, element: str, local_model: str) -> Multimodel:
         try:

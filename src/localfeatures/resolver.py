@@ -5,9 +5,9 @@ element can have, then closes and validates the global selection. It then
 visits each declaration once, in the specification's order, after a first
 pass over the entity names, which properties may name before they are
 declared. One visit checks the declaration's names, places its element in its
-viewpoint, binds its feature clause and records its effective configuration,
-noting each local model whose global default it falls back to. Last, it
-checks those global defaults. Semantic problems never raise: they become
+viewpoint, binds its feature clause and records its effective configuration.
+Last, it checks the global defaults that unbound elements fall back to, which
+it reads off the multimodel. Semantic problems never raise: they become
 Diagnostics and resolution continues, so one run reports as much as possible.
 Error-severity diagnostics block emission downstream. Diagnostics about spec
 elements, no-metaclass included, cite the spec; those about the global
@@ -156,8 +156,6 @@ class _Resolution:
         self.diagnostics: list[Diagnostic] = []
         self.clause_spans: dict[str, Span] = {}
         self.effective: dict[str, Configuration] = {}
-        # local model -> the elements that fall back to its global default
-        self.fallers: dict[str, list[str]] = {name: [] for name in definition.functional.locals}
         # (local model, clause names) -> seeds, for clauses whose every name
         # is a feature of that local model
         self.seeds: dict[tuple[str, tuple[str, ...]], Configuration] = {}
@@ -180,7 +178,7 @@ class _Resolution:
             mm.declare_applied_to(decl.local_model, decl.viewpoint, decl.metaclass)
         self.defaults = {name: mm.global_default(name) for name in definition.functional.locals}
         self.place_all(mm)
-        self.check_defaults()
+        self.check_defaults(mm)
 
         self.diagnostics.sort(key=Diagnostic.sort_key)
         effective = self.effective
@@ -239,10 +237,8 @@ class _Resolution:
         declared: set[str] = set()
         for decl in self.spec.entities:
             self.check_properties(decl, entities)
-            if self.first(declared, entity, decl.name, decl.span):
-                self.place(mm, entity, decl.name, decl.span, decl.features)
-            else:
-                self.bind(mm, entity, decl.name, decl.features, None)
+            self.place(mm, entity, decl.name, decl.span, decl.features,
+                       self.first(declared, entity, decl.name, decl.span))
 
         layers: set[str] = set()
         for decl in self.spec.layers:
@@ -258,16 +254,12 @@ class _Resolution:
                                 f"layer {decl.name!r} declares style {style.name!r} twice",
                                 decl.span)
                 styles.add(style.name)
-            if first:
-                self.place(mm, layer, decl.name, decl.span, None)
+            self.place(mm, layer, decl.name, decl.span, None, first)
 
         maps: set[str] = set()
         for decl in self.spec.maps:
             first = self.first(maps, map_, decl.name, decl.span)
-            if first:
-                self.place(mm, map_, decl.name, decl.span, decl.features)
-            else:
-                self.bind(mm, map_, decl.name, decl.features, None)
+            self.place(mm, map_, decl.name, decl.span, decl.features, first)
             refs: set[str] = set()
             for ref in decl.layers:
                 # base layers are built-in tile sources, not declared data layers
@@ -281,11 +273,8 @@ class _Resolution:
                                 ref.span)
                     continue
                 refs.add(ref.name)
-                name = f"{decl.name}.{ref.name}"
-                if first:
-                    self.place(mm, layer_in_map, name, ref.span, ref.features)
-                else:
-                    self.bind(mm, layer_in_map, name, ref.features, None)
+                self.place(mm, layer_in_map, f"{decl.name}.{ref.name}", ref.span,
+                           ref.features, first)
 
     def first(self, seen: set[str], slot: tuple, name: str, span: Span) -> bool:
         """Whether a declaration is the first of its name, which joins seen;
@@ -345,12 +334,16 @@ class _Resolution:
         return viewpoint, metaclass, entities, _covering(mm, viewpoint, metaclass)
 
     def place(self, mm: Multimodel, slot: tuple, name: str, span: Span,
-              clause: FeatureClause | None) -> None:
+              clause: FeatureClause | None, first: bool) -> None:
         """Place an element, bind its clause, and record its effective
         configuration: the union, over the local models covering it, of its
-        binding through the first or else each model's global default."""
+        binding through the first or else each model's global default. A
+        repeat (first is False) is not placed, nor is an element that cannot
+        be; its clause is only checked."""
         viewpoint, metaclass, entities, covering = slot
-        if entities is None:
+        if not first:
+            pass
+        elif entities is None:
             self.report("no-metaclass",
                         f"definition declares no {viewpoint}.{metaclass}; cannot "
                         f"place element {name!r}", span)
@@ -366,13 +359,12 @@ class _Resolution:
             # a single covering model's configuration is stored as is, so
             # elements share it
             for local_model in covering if config is None else covering[1:]:
-                self.fallers[local_model].append(element)
                 default = self.defaults[local_model]
                 config = default if config is None else config | default
             if config is not None:
                 self.effective[element] = config
             return
-        self.bind(mm, slot, name, clause, None)  # an unplaced element's clause is checked
+        self.bind(mm, slot, name, clause, None)
 
     def bind(self, mm: Multimodel, slot: tuple, name: str, clause: FeatureClause | None,
              element: str | None) -> Configuration | None:
@@ -409,12 +401,12 @@ class _Resolution:
         if element is None:
             return None
         try:
-            mm.bind_local(element, local_name, seeds)
+            selection = mm.bind_local(element, local_name, seeds)
         except InvalidSelection as exc:
             self.report("invalid-selection", str(exc), clause.span)
             return None
         self.clause_spans[element] = clause.span
-        return mm.binding(element, local_name).selection
+        return selection
 
     def owning_model(self, feature: str) -> str | None:
         for name, local in self.definition.functional.locals.items():
@@ -426,13 +418,14 @@ class _Resolution:
 
     # -- last: the global defaults elements fall back to ---------------------------
 
-    def check_defaults(self) -> None:
+    def check_defaults(self, mm: Multimodel) -> None:
         for name, local in self.definition.functional.locals.items():
             report = validate_configuration(local, self.defaults[name])
             if report.valid:
                 continue
             detail = "; ".join(v.message for v in report.violations)
-            falling = self.fallers[name]
+            falling = [element for element, local_model in mm.covered_elements()
+                       if local_model == name and mm.binding(element, name) is None]
             if falling:
                 more = "" if len(falling) <= 3 else f" (and {len(falling) - 3} more)"
                 outcome = f" and {', '.join(sorted(falling)[:3])}{more} fall back to it"

@@ -314,6 +314,18 @@ def test_emit_refuses_unwritable_directories(files, capsys):
     assert ".emit-" not in err
 
 
+def test_emit_over_a_directory_removes_its_temporary_file(files, capsys):
+    # the temporary file is written, then cannot replace the directory
+    target = files / "out"
+    target.mkdir()
+    rc = main(["emit", str(files / "webeiel.gis"), "--spl", str(files / "gis.spl"),
+               "--out", str(target)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+    assert not list(files.glob(".emit-*"))
+    assert not list(target.iterdir())
+
+
 def test_emit_leaves_no_file_behind_on_errors(files, capsys, monkeypatch):
     monkeypatch.chdir(files)
     bad = write(files, "bad.gis", "CREATE GIS Broken WITH FEATURES (Bogus);")

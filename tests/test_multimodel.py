@@ -186,12 +186,21 @@ def test_element_lookup_partitions_on_the_first_dot(gis_multimodel):
 # -- binding -------------------------------------------------------------------
 
 def test_binding_stores_the_closed_selection(gis_multimodel):
-    gis_multimodel.bind_local(
+    returned = gis_multimodel.bind_local(
         "data.Hotel", "EntityFeature",
         {"Form", "Creatable", "Editable", "List", "FormAccess", "Filterable"})
     stored = gis_multimodel.binding("data.Hotel", "EntityFeature").selection
     assert stored == {"EntityFeature", "Form", "Creatable", "Editable",
                       "List", "FormAccess", "Filterable"}
+    assert returned is stored
+
+
+def test_equal_seeds_share_one_selection(gis_multimodel):
+    # the emitter renders each distinct selection object once
+    first = gis_multimodel.bind_local("data.Hotel", "EntityFeature", {"Form", "List"})
+    second = gis_multimodel.bind_local("data.Municipality", "EntityFeature", {"List", "Form"})
+    assert second is first
+    assert gis_multimodel.binding("data.Municipality", "EntityFeature").selection is first
 
 
 def test_binding_seeds_are_closed_under_requires(gis_multimodel):

@@ -44,6 +44,26 @@ LOCAL Widget APPLIED TO data.Entity;
 DEFAULTS (A);
 """
 
+# a global and a local model whose roots head groups
+GROUPED_ROOTS = """\
+VIEWPOINT data (Entity);
+
+FEATUREMODEL Shop XOR {
+    Pay OR {
+        Card
+        Cash
+    }
+    Free
+}
+
+FEATUREMODEL Pay OR {
+    Card
+    Cash
+}
+
+LOCAL Pay APPLIED TO data.Entity;
+"""
+
 
 # -- packaged definitions --------------------------------------------------------
 
@@ -94,7 +114,8 @@ def test_ecommerce_definition_structure(ecommerce_definition):
 # -- canonical printing ------------------------------------------------------------
 
 def test_canonical_definition_prints_byte_for_byte():
-    assert format_spl(parse_spl_definition(MINIMAL)) == MINIMAL
+    for source in (MINIMAL, GROUPED_ROOTS):
+        assert format_spl(parse_spl_definition(source)) == source
 
 
 def test_packaged_definitions_round_trip(gis_definition, ecommerce_definition):
