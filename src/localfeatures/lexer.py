@@ -11,7 +11,9 @@ sequences indexed by token: kind, text and end offset. No per-token object
 is built, and no line or column is counted while lexing: TokenStream turns
 an offset into a line and column only when the parser builds a Span or an
 error, by a bisect over the source's line starts. tokenize() still returns
-one six-field Token per token, for callers that want them.
+one six-field Token per token, for callers that want them. A parser tests
+TokenStream.kind and moves only by reading: expect, match, expect_run,
+parenthesised and names, none of which moves past the EOF token.
 
 Because the whole source is lexed before parsing starts, a bad character
 anywhere in it is the error reported, ahead of any syntax error the parser
@@ -147,18 +149,18 @@ class _ListsOfNames(dict):
 class TokenStream:
     """Cursor over the tokens of a source, with positioned errors on
     mismatch. A token is its index; texts holds the token texts, and kind is
-    the current token's kind.
+    the current token's kind, which a parser tests directly.
 
-    Besides single tokens (expect, match), it reads the productions both
-    parsers share: a fixed run of kinds (expect_run), a parenthesised comma
-    list of items the caller reads (parenthesised), and a possibly empty
-    parenthesised list of names (names). Each fails as expect does, at the
-    first token that does not fit. A run and a list of names are first
-    compared with the kinds ahead as slices, in one step each; only when
-    that finds a mismatch are they walked token by token, and it is that
-    walk which raises, so the error is the one expect gives. Equal lists of
-    names come back as one shared tuple: a parse sees few distinct feature
-    clauses, many times over."""
+    The cursor moves only by reading, and never past EOF: a single token
+    (expect, match), or a production both parsers share: a fixed run of
+    kinds (expect_run), a parenthesised comma list of items the caller reads
+    (parenthesised), or a possibly empty parenthesised list of names
+    (names). Each fails as expect does, at the first token that does not
+    fit. A run and a list of names are first compared with the kinds ahead
+    as slices, in one step each; only when that finds a mismatch are they
+    walked token by token, and it is that walk which raises, so the error is
+    the one expect gives. Equal lists of names come back as one shared
+    tuple: a parse sees few distinct feature clauses, many times over."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
         self._kinds, self.texts, self._ends = lex(source, keywords)
@@ -168,20 +170,8 @@ class TokenStream:
         self.pos = 0
         self.kind = self._kinds[0]
 
-    def at(self, *kinds: str) -> bool:
-        return self.kind in kinds
-
-    def advance(self) -> int:
-        """The current token, moving past it unless it is EOF."""
-        pos = self.pos
-        if self.kind is not EOF:
-            self.pos = pos + 1
-            self.kind = self._kinds[pos + 1]
-        return pos
-
     def match(self, kind: str) -> bool:
-        """Whether the current token is of kind, moving past it if so (as
-        advance does, inlined)."""
+        """Whether the current token is of kind, moving past it if so."""
         if self.kind == kind:
             if kind is not EOF:
                 self.pos += 1
@@ -190,8 +180,7 @@ class TokenStream:
         return False
 
     def expect(self, *kinds: str) -> int:
-        """The current token, which must be of one of kinds, moving past it
-        as advance does (inlined: this runs for most tokens)."""
+        """The current token, which must be of one of kinds, moving past it."""
         kind = self.kind
         if kind in kinds:
             pos = self.pos

@@ -150,7 +150,7 @@ class _Parser:
         flags = self.flags(_PROPERTY_FLAGS)
         relationship = None
         if ts.kind == "RELATIONSHIP":
-            rel_tok = ts.advance()
+            rel_tok = ts.expect("RELATIONSHIP")
             if type_name in BUILTIN_TYPES:
                 raise ParseError.at(
                     f"RELATIONSHIP is not allowed on built-in type {type_name!r}",
@@ -188,7 +188,7 @@ class _Parser:
         text = self.texts[self.ts.pos]
         if self.ts.kind != NUMBER or not text.isdigit():
             self.ts.fail(*expected)
-        tok = self.ts.advance()
+        tok = self.ts.expect(NUMBER)
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
@@ -274,7 +274,7 @@ class _Parser:
             if flag in flags:
                 raise DuplicateFlag.at(f"duplicate flag {flag}", ts.span(ts.pos))
             flags.append(flag)
-            ts.advance()
+            ts.expect(flag)
         return tuple(flags)
 
     def feature_clause(self) -> FeatureClause | None:
@@ -288,7 +288,7 @@ class _Parser:
         ts = self.ts
         words: list[str] = []
         while ts.kind in _WORDS:
-            words.append(self.texts[ts.advance()])
+            words.append(self.texts[ts.expect(*_WORDS)])
         if not words:
             ts.fail("display name")
         return " ".join(words)

@@ -335,46 +335,52 @@ class _Resolution:
 
     def place(self, mm: Multimodel, slot: tuple, name: str, span: Span,
               clause: FeatureClause | None, first: bool) -> None:
-        """Place an element, bind its clause, and record its effective
-        configuration: the union, over the local models covering it, of its
-        binding through the first or else each model's global default. A
-        repeat (first is False) is not placed, nor is an element that cannot
-        be; its clause is only checked."""
+        """Check an element's clause, then place the element, bind the
+        clause, and record its effective configuration: the union, over the
+        local models covering it, of its binding through the first or else
+        each model's global default. A repeat (first is False) is not placed,
+        nor is an element that cannot be; its clause is only checked."""
+        seeds = self.clause_seeds(slot, name, clause)
         viewpoint, metaclass, entities, covering = slot
         if not first:
-            pass
-        elif entities is None:
+            return
+        if entities is None:
             self.report("no-metaclass",
                         f"definition declares no {viewpoint}.{metaclass}; cannot "
                         f"place element {name!r}", span)
-        elif name in entities:
+            return
+        if name in entities:
             # layers and maps share the visualization viewpoint's namespace
             self.report("duplicate-name",
                         f"{_described(metaclass, name)} has the same name as "
                         f"{entities[name].kind.lower()} {name!r}", span)
-        else:
-            entities[name] = _new(ModelEntity, (name, metaclass))
-            element = f"{viewpoint}.{name}"
-            config = self.bind(mm, slot, name, clause, element)
-            # a single covering model's configuration is stored as is, so
-            # elements share it
-            for local_model in covering if config is None else covering[1:]:
-                default = self.defaults[local_model]
-                config = default if config is None else config | default
-            if config is not None:
-                self.effective[element] = config
             return
-        self.bind(mm, slot, name, clause, None)
+        entities[name] = _new(ModelEntity, (name, metaclass))
+        element = f"{viewpoint}.{name}"
+        config = None
+        if seeds is not None:
+            try:
+                config = mm.bind_local(element, covering[0], seeds)
+            except InvalidSelection as exc:
+                self.report("invalid-selection", str(exc), clause.span)
+            else:
+                self.clause_spans[element] = clause.span
+        # a single covering model's configuration is stored as is, so
+        # elements share it
+        for local_model in covering if config is None else covering[1:]:
+            default = self.defaults[local_model]
+            config = default if config is None else config | default
+        if config is not None:
+            self.effective[element] = config
 
-    def bind(self, mm: Multimodel, slot: tuple, name: str, clause: FeatureClause | None,
-             element: str | None) -> Configuration | None:
-        """Bind a placed element's clause through the first local model
-        covering its slot, and return the closed selection; None if there is
-        no clause, if it does not bind, or if element is None (not placed, so
-        the clause is only checked). The seeds of a fully known clause are
-        worked out once per local model and list of names; a clause with an
-        unknown feature is checked afresh for each element, so each gets its
-        own diagnostics."""
+    def clause_seeds(self, slot: tuple, name: str,
+                     clause: FeatureClause | None) -> Configuration | None:
+        """The seeds an element's clause binds through the first local model
+        covering its slot; None if there is no clause, or if it cannot bind,
+        which is reported. The seeds of a fully known clause are worked out
+        once per local model and list of names; a clause with an unknown
+        feature is checked afresh for each element, so each gets its own
+        diagnostics."""
         if clause is None:
             return None
         viewpoint, metaclass, _, covering = slot
@@ -398,15 +404,7 @@ class _Resolution:
             if unknown:
                 return None
             seeds = self.seeds[key] = frozenset(clause.names)
-        if element is None:
-            return None
-        try:
-            selection = mm.bind_local(element, local_name, seeds)
-        except InvalidSelection as exc:
-            self.report("invalid-selection", str(exc), clause.span)
-            return None
-        self.clause_spans[element] = clause.span
-        return selection
+        return seeds
 
     def owning_model(self, feature: str) -> str | None:
         for name, local in self.definition.functional.locals.items():

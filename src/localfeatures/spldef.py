@@ -108,14 +108,14 @@ class _DefinitionParser:
         defaults: tuple[str, ...] | None = None
         defaults_span: Span | None = None
 
-        while not self.ts.at(EOF):
-            if self.ts.at("VIEWPOINT"):
+        while self.ts.kind is not EOF:
+            if self.ts.kind == "VIEWPOINT":
                 self.viewpoint_decl(viewpoints)
-            elif self.ts.at("FEATUREMODEL"):
+            elif self.ts.kind == "FEATUREMODEL":
                 self.model_block(blocks)
-            elif self.ts.at("LOCAL"):
+            elif self.ts.kind == "LOCAL":
                 local_lines.append(self.local_decl())
-            elif self.ts.at("DEFAULTS"):
+            elif self.ts.kind == "DEFAULTS":
                 if defaults is not None:
                     raise ParseError.at("definition declares DEFAULTS twice",
                                         self.ts.span(self.ts.pos))
@@ -189,8 +189,7 @@ class _DefinitionParser:
     # -- declarations -------------------------------------------------------
 
     def viewpoint_decl(self, viewpoints: dict[str, tuple[str, ...]]) -> None:
-        self.ts.expect("VIEWPOINT")
-        name = self.ts.expect(IDENT)
+        name = self.ts.expect_run("VIEWPOINT", IDENT) + 1
         if self.texts[name] in viewpoints:
             raise ParseError.at(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
         metaclasses: list[str] = []
@@ -207,8 +206,8 @@ class _DefinitionParser:
         viewpoints[self.texts[name]] = tuple(metaclasses)
 
     def model_block(self, blocks: dict[str, _Block]) -> None:
-        block = _Block(self.ts.expect("FEATUREMODEL"))
-        name = self.ts.expect(IDENT)
+        block = _Block(self.ts.expect_run("FEATUREMODEL", IDENT))
+        name = block.head + 1
         if self.texts[name] in blocks:
             raise ParseError.at(f"duplicate feature model {self.texts[name]!r}",
                                 self.ts.span(name))
@@ -237,7 +236,7 @@ class _DefinitionParser:
             starts += ("REQUIRES", "EXCLUDES")
         children: list[Feature] = []
         while self.ts.kind in starts:
-            if self.ts.at("REQUIRES", "EXCLUDES"):
+            if self.ts.kind in ("REQUIRES", "EXCLUDES"):
                 constraints.append(self.constraint(block))
             else:
                 children.append(self.feature_node(block, depth))
@@ -248,9 +247,9 @@ class _DefinitionParser:
         if depth > MAX_FEATURE_DEPTH:
             raise ParseError.at(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
                                 self.ts.span(self.ts.pos))
-        kind = MANDATORY if self.ts.at("MANDATORY") else OPTIONAL
-        if not self.ts.at(IDENT):  # MANDATORY or OPTIONAL; a group's children are bare
-            self.ts.advance()
+        kind = MANDATORY if self.ts.kind == "MANDATORY" else OPTIONAL
+        if self.ts.kind != IDENT:  # a group's children are bare
+            self.ts.expect("MANDATORY", "OPTIONAL")
         name = self.ts.expect(IDENT)
         block.names.setdefault(self.texts[name], []).append(name)
         group = self.group_marker()
@@ -276,14 +275,8 @@ class _DefinitionParser:
     def local_decl(self) -> tuple[Span, int, int, int]:
         """The span of a LOCAL line and its root, viewpoint and metaclass
         names."""
-        start = self.ts.expect("LOCAL")
-        root = self.ts.expect(IDENT)
-        self.ts.expect_run("APPLIED", "TO")
-        viewpoint = self.ts.expect(IDENT)
-        self.ts.expect(".")
-        metaclass = self.ts.expect(IDENT)
-        self.ts.expect(";")
-        return self.ts.span_from(start), root, viewpoint, metaclass
+        start = self.ts.expect_run("LOCAL", IDENT, "APPLIED", "TO", IDENT, ".", IDENT, ";")
+        return self.ts.span_from(start), start + 1, start + 4, start + 6
 
     def defaults_decl(self) -> tuple[tuple[str, ...], Span]:
         start = self.ts.expect("DEFAULTS")

@@ -257,6 +257,12 @@ _RUN_SITES = (("WITH", "FEATURES"), ("WITH", "STYLES"), ("WITH", "LAYERS"),
               (",", "WITH", "CENTER"), ("APPLIED", "TO"), ("DEFAULTS",))
 _STAND_INS = ("WITH", "FEATURES", "MAP", "CENTER", "TO", "DEFAULT", "42", "-1.5",
               "x", "(", ")", ",", ";", "..")
+# The definition heads the definition parser reads as one run each: a site is
+# the head and the token after it.
+_HEAD_SITES = (("LOCAL", IDENT, "APPLIED", "TO", IDENT, ".", IDENT, ";"),
+               ("VIEWPOINT", IDENT), ("FEATUREMODEL", IDENT))
+_HEAD_STAND_INS = ("LOCAL", "APPLIED", "TO", "VIEWPOINT", "FEATUREMODEL", "DEFAULTS",
+                   "MANDATORY", "XOR", "42", "x", "Entity", "(", "{", ".", ";")
 
 
 def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
@@ -274,6 +280,25 @@ def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
                 while kinds[last] not in (")", ";", EOF):
                     last += 1
                 sites.append((first, last))
+    return _mutants(source, tokens, sites, _STAND_INS, rng, count)
+
+
+def mutated_heads(source: str, rng: random.Random, count: int) -> list[str]:
+    """count copies of a definition, each with one token of a LOCAL line, a
+    VIEWPOINT head or a FEATUREMODEL head, or of the token after it, changed
+    as mutated_runs changes it."""
+    tokens = tokenize(source, DEFINITION_KEYWORDS)
+    kinds = [token.kind for token in tokens]
+    sites = [(first, first + len(head)) for first in range(len(tokens))
+             for head in _HEAD_SITES if tuple(kinds[first:first + len(head)]) == head]
+    return _mutants(source, tokens, sites, _HEAD_STAND_INS, rng, count)
+
+
+def _mutants(source: str, tokens: list, sites: list[tuple[int, int]],
+             stand_ins: tuple[str, ...], rng: random.Random, count: int) -> list[str]:
+    """count copies of source, each with one token of a random site (first
+    to last token, both included) dropped, doubled, replaced by one of
+    stand_ins, or with the source cut off just before it."""
     mutants = []
     for _ in range(count):
         first, last = rng.choice(sites)
@@ -285,7 +310,7 @@ def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
         elif how == "double":
             mutants.append(f"{head}{token.text} {token.text}{tail}")
         elif how == "replace":
-            mutants.append(f"{head}{rng.choice(_STAND_INS)}{tail}")
+            mutants.append(f"{head}{rng.choice(stand_ins)}{tail}")
         else:
             mutants.append(head)
     return mutants

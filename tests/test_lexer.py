@@ -52,7 +52,7 @@ def streamed(source, keywords):
         tokens.append((kind, ts.texts[ts.pos], span.line, span.column, span.start, span.end))
         if kind == EOF:
             return tokens
-        ts.advance()
+        ts.expect(kind)
 
 
 def random_sources(seed, count):
@@ -105,6 +105,28 @@ def test_edge_case_tokens():
     assert outcome(tokenize, "--1", SPEC_KEYWORDS) == (
         "unexpected character '-'", 1, 1, 0, 1, ())
     assert tokenize("a\r\nb", SPEC_KEYWORDS)[1] == ("IDENT", "b", 2, 1, 3, 4)
+
+
+@pytest.mark.parametrize("source", ["", "x", "CREATE GIS g;\n// end"])
+def test_the_cursor_stays_on_eof(source):
+    """Once the stream is exhausted, reading EOF returns the EOF token and
+    stays on it, however often it is read; reading anything else there is a
+    ParseError at EOF, never an IndexError."""
+    ts = TokenStream(source, SPEC_KEYWORDS)
+    while ts.kind != EOF:
+        ts.expect(ts.kind)
+    last = ts.pos
+    assert last == len(ts.texts) - 1
+    for _ in range(3):
+        assert ts.expect(EOF) == last
+        assert ts.match(EOF)
+        assert not ts.match(";")
+        assert (ts.pos, ts.kind) == (last, EOF)
+    for read in (lambda: ts.expect(";"), lambda: ts.expect_run(";", ";"), ts.names):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert exc.value.message == "unexpected end of input"
+        assert (ts.pos, ts.kind) == (last, EOF)
 
 
 # -- error precedence -----------------------------------------------------------

@@ -13,7 +13,7 @@ from localfeatures.errors import LocalFeaturesError, ParseError
 from localfeatures.lexer import DEFINITION_KEYWORDS, SPEC_KEYWORDS, TokenStream
 
 from conftest import FIXTURES, packaged
-from generators import ReferenceTokenStream, mutated_runs, scale_spec_text
+from generators import ReferenceTokenStream, mutated_heads, mutated_runs, scale_spec_text
 
 
 def scale_sample() -> str:
@@ -59,6 +59,22 @@ def test_mutated_runs_read_as_the_reference_reads_them(monkeypatch, source, call
         assert outcome(call, mutant) == expected, repr(mutant)
         failures += isinstance(expected, tuple)
     assert failures > 400  # most mutants are errors, as intended
+
+
+@pytest.mark.parametrize("source", [
+    packaged("gis.spl"),
+    (FIXTURES / "ecommerce.spl").read_text(),
+], ids=["gis.spl", "ecommerce.spl"])
+def test_mutated_definition_heads_read_as_the_reference_reads_them(monkeypatch, source):
+    """A LOCAL line and the heads of VIEWPOINT and FEATUREMODEL are each read
+    as one run; mutated there, a definition parses as it does when every run
+    is read token by token."""
+    failures = 0
+    for mutant in mutated_heads(source, random.Random(5), 400):
+        expected = reference_outcome(monkeypatch, spldef, parse_spl_definition, mutant)
+        assert outcome(parse_spl_definition, mutant) == expected, repr(mutant)
+        failures += isinstance(expected, tuple)
+    assert failures > 300
 
 
 @pytest.mark.parametrize("source", [
