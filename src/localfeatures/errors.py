@@ -83,6 +83,10 @@ class UnknownElement(MultimodelError):
     pass
 
 
+class EntityNameMismatch(MultimodelError):
+    """A viewpoint's entities map a name to an element of another name."""
+
+
 class KindMismatch(MultimodelError):
     """No applied-to declaration covers this element kind and local model."""
 

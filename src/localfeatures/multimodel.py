@@ -9,6 +9,15 @@ which viewpoint a local model can bind to. An element of a matching kind may
 carry its own closed selection over the local model; elements without one
 fall back to the global default, the restriction of the global selection to
 the global copy's subtree.
+
+Placed elements and bindings grow with the product, so neither is kept as
+an object per element, which the cyclic collector would track and walk on
+every full collection. A viewpoint stores each element as its kind, in a
+dict of strings; a binding is stored as the (selection, trace, report)
+closure that every binding of equal seeds over the same local model shares.
+ModelEntity and LocalBinding values are built when they are read: by
+ViewpointModel.entities, Multimodel.element(), Multimodel.binding() and
+Multimodel.bindings.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import (
     DuplicateBinding,
+    EntityNameMismatch,
     InvalidSelection,
     KindMismatch,
     NotApplicable,
@@ -48,18 +58,35 @@ class ModelEntity(NamedTuple):
 
 
 class ViewpointModel(Record):
-    """One system viewpoint: its metaclass vocabulary and elements."""
+    """One system viewpoint: its metaclass vocabulary and elements.
+
+    Stored: kinds, each element's name mapped to its metaclass. A dict whose
+    keys and values are all strings is never tracked by the cyclic
+    collector, however many elements it holds. Built on read: entities,
+    a fresh dict of ModelEntity values each time, which equality and repr
+    use. Each of the entities given must be keyed by its own name
+    (EntityNameMismatch otherwise).
+    """
 
     name: str
     metaclasses: frozenset[str]
-    entities: dict[str, ModelEntity]
+    kinds: dict[str, str]
     _fields = ("name", "metaclasses", "entities")
     _compared = 3
 
     def __init__(self, name: str, metaclasses: frozenset[str],
                  entities: dict[str, ModelEntity] | None = None):
-        vars(self).update(name=name, metaclasses=metaclasses,
-                          entities={} if entities is None else entities)
+        kinds: dict[str, str] = {}
+        for key, entity in (entities or {}).items():
+            if key != entity.name:
+                raise EntityNameMismatch(
+                    f"viewpoint {name!r} lists element {entity.name!r} under {key!r}")
+            kinds[key] = entity.kind
+        vars(self).update(name=name, metaclasses=metaclasses, kinds=kinds)
+
+    @property
+    def entities(self) -> dict[str, ModelEntity]:
+        return {name: _new(ModelEntity, (name, kind)) for name, kind in self.kinds.items()}
 
 
 class AppliedToDeclaration(NamedTuple):
@@ -180,8 +207,9 @@ class Multimodel:
                     + "; ".join(v.message for v in report.violations))
         # (local model, viewpoint, metaclass) -> declaration, in declaration order
         self._applied_to: dict[tuple[str, str, str], AppliedToDeclaration] = {}
-        self._bindings: dict[tuple[str, str], LocalBinding] = {}
         self._closures: dict[tuple[str, Configuration], tuple] = {}  # -> selection, trace, report
+        # (element, local model) -> the _closures entry of the seeds it was bound to
+        self._bindings: dict[tuple[str, str], tuple] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -191,19 +219,22 @@ class Multimodel:
 
     @property
     def bindings(self) -> tuple[LocalBinding, ...]:
-        return tuple(self._bindings.values())
+        """Every binding, in the order the elements were bound."""
+        return tuple(_new(LocalBinding, (element, local_model, selection, trace))
+                     for (element, local_model), (selection, trace, _) in self._bindings.items())
 
     def element(self, qualified_name: str) -> ModelEntity:
-        return self._locate(qualified_name)[1]
+        _, name, kind = self._locate(qualified_name)
+        return _new(ModelEntity, (name, kind))
 
-    def _locate(self, qualified_name: str) -> tuple[str, ModelEntity]:
-        """The viewpoint and the element a qualified name names."""
+    def _locate(self, qualified_name: str) -> tuple[str, str, str]:
+        """The viewpoint, name and kind of the element a qualified name names."""
         viewpoint, _, name = qualified_name.partition(".")
         vp = self.viewpoints.get(viewpoint)
-        entity = None if vp is None else vp.entities.get(name)
-        if entity is None:
+        kind = None if vp is None else vp.kinds.get(name)
+        if kind is None:
             raise UnknownElement(f"no element {qualified_name!r} in the multimodel")
-        return viewpoint, entity
+        return viewpoint, name, kind
 
     # -- construction -------------------------------------------------------
 
@@ -234,11 +265,11 @@ class Multimodel:
         local = self.functional.locals.get(local_model)
         if local is None:
             raise UnknownLocalModel(f"no local feature model named {local_model!r}")
-        viewpoint, entity = self._locate(element)
-        if (local_model, viewpoint, entity.kind) not in self._applied_to:
+        viewpoint, _, kind = self._locate(element)
+        if (local_model, viewpoint, kind) not in self._applied_to:
             raise KindMismatch(
                 f"local model {local_model!r} is not applied to any metaclass "
-                f"matching element {element!r} of kind {entity.kind!r}")
+                f"matching element {element!r} of kind {kind!r}")
         key = (element, local_model)
         if key in self._bindings:
             raise DuplicateBinding(
@@ -248,12 +279,13 @@ class Multimodel:
         if shared not in self._closures:
             selection, trace = close_selection_traced(local, seeds)
             self._closures[shared] = (selection, trace, validate_configuration(local, selection))
-        selection, trace, report = self._closures[shared]
+        closure = self._closures[shared]
+        selection, _, report = closure
         if not report.valid:
             raise InvalidSelection(
                 f"selection for {element!r} is invalid against {local_model!r}: "
                 + "; ".join(v.message for v in report.violations))
-        self._bindings[key] = _new(LocalBinding, (element, local_model, selection, trace))
+        self._bindings[key] = closure
         return selection
 
     def remove_binding(self, element: str, local_model: str) -> Multimodel:
@@ -267,7 +299,10 @@ class Multimodel:
     # -- queries ------------------------------------------------------------
 
     def binding(self, element: str, local_model: str) -> LocalBinding | None:
-        return self._bindings.get((element, local_model))
+        closure = self._bindings.get((element, local_model))
+        if closure is None:
+            return None
+        return _new(LocalBinding, (element, local_model, *closure[:2]))
 
     def global_default(self, local_model: str) -> Configuration:
         """Restriction of the global selection to the local model's global
@@ -279,14 +314,14 @@ class Multimodel:
 
     def effective_configuration(self, element: str, local_model: str) -> Configuration:
         """The element's binding if one exists, else the global default."""
-        viewpoint, entity = self._locate(element)
-        if (local_model, viewpoint, entity.kind) not in self._applied_to:
+        viewpoint, _, kind = self._locate(element)
+        if (local_model, viewpoint, kind) not in self._applied_to:
             raise NotApplicable(
                 f"local model {local_model!r} does not apply to element {element!r} "
-                f"of kind {entity.kind!r}")
-        bound = self._bindings.get((element, local_model))
-        if bound is not None:
-            return bound.selection
+                f"of kind {kind!r}")
+        closure = self._bindings.get((element, local_model))
+        if closure is not None:
+            return closure[0]
         return self.global_default(local_model)
 
     def covered_elements(self) -> Iterator[tuple[str, str]]:
@@ -296,9 +331,9 @@ class Multimodel:
             vp = self.viewpoints.get(decl.viewpoint)
             if vp is None:
                 continue
-            for entity in vp.entities.values():
-                if entity.kind == decl.metaclass:
-                    yield f"{vp.name}.{entity.name}", decl.local_model
+            for name, kind in vp.kinds.items():
+                if kind == decl.metaclass:
+                    yield f"{vp.name}.{name}", decl.local_model
 
     def included_features(self) -> tuple[str, ...]:
         """Every feature the derived product includes: the global selection

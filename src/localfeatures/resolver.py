@@ -26,7 +26,7 @@ from typing import Literal, NamedTuple
 
 from .errors import InvalidSelection, UnknownElement
 from .features import Configuration, close_selection, validate_configuration
-from .multimodel import ModelEntity, Multimodel, ViewpointModel
+from .multimodel import Multimodel, ViewpointModel
 from .records import Record
 from .spldef import SplDefinition
 from .syntax import BUILTIN_TYPES, EntityDecl, FeatureClause, ProductSpec, Span
@@ -44,9 +44,6 @@ _CLOSURE_ORIGINS = {
     "mandatory": ("closure(mandatory)", "mandatory child of {}"),
     "requires": ("closure(requires)", "required by {}"),
 }
-
-
-_new = tuple.__new__  # builds a named tuple without a Python frame for its __new__
 
 
 def _described(metaclass: str, name: str) -> str:
@@ -327,11 +324,11 @@ class _Resolution:
     def slot(self, mm: Multimodel, viewpoint: str, metaclass: str) -> tuple:
         """What placing an element of a metaclass needs, worked out once for
         all its elements: the viewpoint and metaclass, the viewpoint's
-        elements (None if it has no such metaclass), and the local models
-        covering the metaclass (_covering)."""
+        element kinds (None if it has no such metaclass), and the local
+        models covering the metaclass (_covering)."""
         vp = mm.viewpoints.get(viewpoint)
-        entities = vp.entities if vp is not None and metaclass in vp.metaclasses else None
-        return viewpoint, metaclass, entities, _covering(mm, viewpoint, metaclass)
+        kinds = vp.kinds if vp is not None and metaclass in vp.metaclasses else None
+        return viewpoint, metaclass, kinds, _covering(mm, viewpoint, metaclass)
 
     def place(self, mm: Multimodel, slot: tuple, name: str, span: Span,
               clause: FeatureClause | None, first: bool) -> None:
@@ -341,21 +338,21 @@ class _Resolution:
         each model's global default. A repeat (first is False) is not placed,
         nor is an element that cannot be; its clause is only checked."""
         seeds = self.clause_seeds(slot, name, clause)
-        viewpoint, metaclass, entities, covering = slot
+        viewpoint, metaclass, kinds, covering = slot
         if not first:
             return
-        if entities is None:
+        if kinds is None:
             self.report("no-metaclass",
                         f"definition declares no {viewpoint}.{metaclass}; cannot "
                         f"place element {name!r}", span)
             return
-        if name in entities:
+        if name in kinds:
             # layers and maps share the visualization viewpoint's namespace
             self.report("duplicate-name",
                         f"{_described(metaclass, name)} has the same name as "
-                        f"{entities[name].kind.lower()} {name!r}", span)
+                        f"{kinds[name].lower()} {name!r}", span)
             return
-        entities[name] = _new(ModelEntity, (name, metaclass))
+        kinds[name] = metaclass
         element = f"{viewpoint}.{name}"
         config = None
         if seeds is not None:

@@ -14,8 +14,10 @@ from localfeatures import (
 )
 from localfeatures.errors import (
     DuplicateBinding,
+    EntityNameMismatch,
     InvalidSelection,
     KindMismatch,
+    MultimodelError,
     NotApplicable,
     TwinMismatch,
     UnknownElement,
@@ -173,6 +175,18 @@ def test_covered_elements_follow_declaration_order(gis_multimodel):
         ("visualization.municipalitiesMap", "MapFeature"),
         ("visualization.hotelsMap", "MapFeature"),
     ]
+
+
+def test_viewpoint_rejects_an_element_under_another_name():
+    # stored as name -> kind, such an element would be covered as data.y
+    # and then unknown to every lookup by that name
+    with pytest.raises(EntityNameMismatch, match="element 'y' under 'x'"):
+        ViewpointModel("data", frozenset({"Entity"}), {"x": ModelEntity("y", "Entity")})
+    assert issubclass(EntityNameMismatch, MultimodelError)
+    data = viewpoints()["data"]
+    assert data.entities == {"Municipality": ModelEntity("Municipality", "Entity"),
+                             "Hotel": ModelEntity("Hotel", "Entity")}
+    assert data == ViewpointModel("data", frozenset({"Entity"}), data.entities)
 
 
 def test_element_lookup_partitions_on_the_first_dot(gis_multimodel):

@@ -1,5 +1,6 @@
 """Resolution: diagnostics instead of exceptions, bindings, defaults, explain."""
 
+import gc
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from localfeatures import (
     verify_schema,
 )
 from localfeatures.errors import UnknownElement
+from localfeatures.multimodel import LocalBinding, ModelEntity
 from localfeatures.resolver import Diagnostic, Provenance
 from localfeatures.spldef import parse_spl_definition
 from localfeatures.syntax import (
@@ -504,6 +506,81 @@ def test_every_bound_element_keeps_its_own_clause_span(gis_definition):
     assert resolved.diagnostics == ()
     assert resolved.clause_spans == expected
     assert len(set(expected.values())) == len(expected) == len(resolved.multimodel.bindings)
+
+
+def placed_by_spec(spec):
+    """(qualified name, kind, feature clause) of each element a spec with no
+    repeated declaration places, in the order resolve places them."""
+    rows = [(f"data.{e.name}", "Entity", e.features) for e in spec.entities]
+    rows += [(f"visualization.{layer.name}", "Layer", None) for layer in spec.layers]
+    for m in spec.maps:
+        rows.append((f"visualization.{m.name}", "Map", m.features))
+        rows += [(f"visualization.{m.name}.{ref.name}", "LayerInMap", ref.features)
+                 for ref in m.layers]
+    return rows
+
+
+@pytest.mark.parametrize("copies", [0, 2])  # 0 is webeiel.gis
+def test_read_views_equal_what_the_spec_places_and_binds(copies, webeiel_spec, gis_definition):
+    spec = webeiel_spec if copies == 0 else parse(scale_spec_text(copies), filename="scale.gis")
+    resolved = resolve(spec, gis_definition)
+    assert resolved.diagnostics == ()
+    mm = resolved.multimodel
+    locals_ = gis_definition.functional.locals
+    first_local = {}
+    for d in gis_definition.applied_to:
+        first_local.setdefault(f"{d.viewpoint}.{d.metaclass}", d.local_model)
+
+    entities = {name: {} for name in gis_definition.viewpoints}
+    expected, seeds = [], {}
+    for element, kind, clause in placed_by_spec(spec):
+        viewpoint, _, name = element.partition(".")
+        entities[viewpoint][name] = ModelEntity(name, kind)
+        assert mm.element(element) == ModelEntity(name, kind)
+        if clause is not None:
+            local_model = first_local[f"{viewpoint}.{kind}"]
+            selection, trace = reference_close_selection_traced(locals_[local_model], clause.names)
+            expected.append((element, local_model, selection, trace))
+            seeds[element] = (local_model, frozenset(clause.names))
+    assert {name: list(vp.entities.items()) for name, vp in mm.viewpoints.items()} == {
+        name: list(placed.items()) for name, placed in entities.items()}
+    assert [tuple(b) for b in mm.bindings] == expected
+    assert all(type(b) is LocalBinding for b in mm.bindings)
+    for row in expected:
+        binding = mm.binding(*row[:2])
+        assert type(binding) is LocalBinding and tuple(binding) == row
+
+    # equal seeds over one local model share one selection object
+    shared = {}
+    for element, local_model, _, _ in expected:
+        selection = mm.binding(element, local_model).selection
+        assert shared.setdefault(seeds[element], selection) is selection
+
+    # removing a binding falls back to the default; binding again goes last
+    element, local_model, _, _ = expected[0]
+    selection = mm.binding(element, local_model).selection
+    mm.remove_binding(element, local_model)
+    assert mm.binding(element, local_model) is None
+    assert mm.effective_configuration(element, local_model) == mm.global_default(local_model)
+    assert mm.bind_local(element, local_model, seeds[element][1]) is selection
+    assert [tuple(b) for b in mm.bindings] == expected[1:] + expected[:1]
+
+
+def test_resolve_leaves_no_tracked_object_per_element(gis_definition):
+    """What resolve leaves for the cyclic collector must not grow with the
+    number of elements: each full collection walks all of it."""
+    specs = {copies: parse(scale_spec_text(copies), filename="scale.gis") for copies in (2, 8)}
+    resolve(specs[2], gis_definition)  # first use fills the interpreter's caches
+    added, kept = {}, []
+    for copies, spec in specs.items():
+        gc.collect()
+        before = len(gc.get_objects())
+        kept.append(resolve(spec, gis_definition))
+        gc.collect()
+        added[copies] = len(gc.get_objects()) - before
+    assert abs(added[8] - added[2]) <= 10, added
+    for resolved in kept:
+        assert not any(gc.is_tracked(vp.kinds) for vp in resolved.multimodel.viewpoints.values())
 
 
 def test_equal_clauses_in_one_parse_share_their_names(gis_definition):
