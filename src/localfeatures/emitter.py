@@ -13,8 +13,8 @@ oracle. emit() builds no such tree. Straight
 from the spec and the resolved product, it fills templates of the document's
 fixed shape, keys in sorted order and each record indented for its depth,
 and quotes strings with the C json.encoder.encode_basestring. Elements share
-a handful of effective configuration objects: each distinct one is sorted
-and written once, and every element then costs one line.
+a handful of effective configurations: each distinct configuration is
+sorted and written once, and every element then costs one line.
 
 verify_schema() checks a JSON text against the closed derivation-config
 schema shipped with the package. It needs no third-party validator: on
@@ -71,14 +71,14 @@ def _write(resolved: ResolvedProduct) -> str:
     """emit() without the error check. Raises ValueError for a coordinate
     that is not finite and TypeError for a name that is not a str."""
     spec = resolved.spec
-    written: dict[int, str] = {}  # id of a shared configuration -> its JSON
+    written: dict[frozenset[str], str] = {}  # each distinct configuration -> its JSON
     bindings = []
     effective = resolved.effective
     for element in sorted(effective):
         config = effective[element]
-        text = written.get(id(config))
+        text = written.get(config)
         if text is None:
-            text = written[id(config)] = _strings(sorted(config), 4)
+            text = written[config] = _strings(sorted(config), 4)
         bindings.append(f"{_quote(element)}: {text}")
     return _DOCUMENT % (
         _block("{}", bindings, 2),

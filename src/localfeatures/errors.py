@@ -84,7 +84,7 @@ class UnknownElement(MultimodelError):
 
 
 class EntityNameMismatch(MultimodelError):
-    """A viewpoint's entities map a name to an element of another name."""
+    """An element or a viewpoint is listed under a name other than its own."""
 
 
 class KindMismatch(MultimodelError):

@@ -157,9 +157,9 @@ class TokenStream:
     (parenthesised), or a possibly empty parenthesised list of names
     (names). Each fails as expect does, at the first token that does not
     fit. A run and a list of names are first compared with the kinds ahead
-    as slices, in one step each; only when that finds a mismatch are they
-    walked token by token, and it is that walk which raises, so the error is
-    the one expect gives. Equal lists of names come back as one shared
+    as slices, in one step each, and every well-formed one matches there;
+    on a mismatch they are walked token by token, which always raises, with
+    the error expect gives. Equal lists of names come back as one shared
     tuple: a parse sees few distinct feature clauses, many times over."""
 
     def __init__(self, source: str, keywords: frozenset[str]):
@@ -199,9 +199,9 @@ class TokenStream:
             self.pos = end
             self.kind = self._kinds[end]
             return first
-        for kind in kinds:
+        for kind in kinds[:-1]:  # token by token, to raise at the first misfit
             self.expect(kind)
-        return first
+        self.fail(kinds[-1])
 
     def parenthesised(self, item: Callable[[], T]) -> tuple[T, ...]:
         """( item {, item} ): the items, each read by a call of item."""
@@ -225,13 +225,11 @@ class TokenStream:
             self.kind = kinds[close + 1]
             return self._names.setdefault(names, names)
         self.expect("(")  # token by token, to raise at the first misfit
-        found = []
         if self.kind != ")":
-            found.append(self.texts[self.expect(IDENT)])
+            self.expect(IDENT)
             while self.match(","):
-                found.append(self.texts[self.expect(IDENT)])
-        self.expect(")")
-        return tuple(found)
+                self.expect(IDENT)
+        self.fail(")")
 
     def fail(self, *expected: str) -> NoReturn:
         kind = self.kind

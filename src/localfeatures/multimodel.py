@@ -8,14 +8,16 @@ stay structurally identical. Applied-to declarations state which metaclass of
 which viewpoint a local model can bind to. An element of a matching kind may
 carry its own closed selection over the local model; elements without one
 fall back to the global default, the restriction of the global selection to
-the global copy's subtree.
+the global copy's subtree: one object per local model, computed once, when the
+global selection is fixed at construction.
 
 Placed elements and bindings grow with the product, so neither is kept as
 an object per element, which the cyclic collector would track and walk on
 every full collection. A viewpoint stores each element as its kind, in a
 dict of strings; a binding is stored as the (selection, trace, report)
 closure that every binding of equal seeds over the same local model shares.
-ModelEntity and LocalBinding values are built when they are read: by
+Only Multimodel decides which elements share a configuration. ModelEntity
+and LocalBinding values are built when they are read: by
 ViewpointModel.entities, Multimodel.element(), Multimodel.binding() and
 Multimodel.bindings.
 """
@@ -64,8 +66,8 @@ class ViewpointModel(Record):
     keys and values are all strings is never tracked by the cyclic
     collector, however many elements it holds. Built on read: entities,
     a fresh dict of ModelEntity values each time, which equality and repr
-    use. Each of the entities given must be keyed by its own name
-    (EntityNameMismatch otherwise).
+    use. Each entity given must be keyed by its own name and be of one of
+    the metaclasses (EntityNameMismatch, UnknownMetaclass otherwise).
     """
 
     name: str
@@ -81,6 +83,9 @@ class ViewpointModel(Record):
             if key != entity.name:
                 raise EntityNameMismatch(
                     f"viewpoint {name!r} lists element {entity.name!r} under {key!r}")
+            if entity.kind not in metaclasses:
+                raise UnknownMetaclass(f"viewpoint {name!r} lists element {key!r} "
+                                       f"of undeclared metaclass {entity.kind!r}")
             kinds[key] = entity.kind
         vars(self).update(name=name, metaclasses=metaclasses, kinds=kinds)
 
@@ -185,8 +190,10 @@ class Multimodel:
     per-element local bindings, and the product's global selection.
 
     Built single-threaded by a resolver; treat as immutable once resolved.
-    The global selection is validated against the global model unless the
-    caller opts out to keep collecting its own diagnostics.
+    The global selection is fixed at construction, where each local model's
+    global default is computed once. It is validated against the global
+    model unless the caller opts out to keep collecting its own diagnostics.
+    Each viewpoint must be listed under its own name (EntityNameMismatch).
     """
 
     def __init__(self,
@@ -196,6 +203,9 @@ class Multimodel:
                  validate: bool = True):
         self.functional = functional
         self.viewpoints: dict[str, ViewpointModel] = dict(viewpoints or {})
+        for key, vp in self.viewpoints.items():
+            if key != vp.name:
+                raise EntityNameMismatch(f"multimodel lists viewpoint {vp.name!r} under {key!r}")
         if global_selection is None:
             global_selection = close_selection(functional.global_model, frozenset())
         self.global_selection: Configuration = frozenset(global_selection)
@@ -205,6 +215,9 @@ class Multimodel:
                 raise InvalidSelection(
                     "global selection is invalid: "
                     + "; ".join(v.message for v in report.violations))
+        self._defaults: dict[str, Configuration] = {
+            name: (self.global_selection & local.feature_names) | {local.root.name}
+            for name, local in functional.locals.items()}
         # (local model, viewpoint, metaclass) -> declaration, in declaration order
         self._applied_to: dict[tuple[str, str, str], AppliedToDeclaration] = {}
         self._closures: dict[tuple[str, Configuration], tuple] = {}  # -> selection, trace, report
@@ -306,11 +319,17 @@ class Multimodel:
 
     def global_default(self, local_model: str) -> Configuration:
         """Restriction of the global selection to the local model's global
-        copy, whose names are the local model's; always contains the local root."""
-        local = self.functional.locals.get(local_model)
-        if local is None:
+        copy, plus the local root: one object, made at construction."""
+        default = self._defaults.get(local_model)
+        if default is None:
             raise UnknownLocalModel(f"no local feature model named {local_model!r}")
-        return (self.global_selection & local.feature_names) | {local.root.name}
+        return default
+
+    def covering(self, viewpoint: str, metaclass: str) -> list[str]:
+        """The local models applied to a viewpoint's metaclass, in declaration
+        order. Each covers every element of the metaclass."""
+        return [local_model for local_model, vp, mc in self._applied_to
+                if vp == viewpoint and mc == metaclass]
 
     def effective_configuration(self, element: str, local_model: str) -> Configuration:
         """The element's binding if one exists, else the global default."""
@@ -327,13 +346,10 @@ class Multimodel:
     def covered_elements(self) -> Iterator[tuple[str, str]]:
         """Yield (qualified element name, local model) for every element
         matched by some applied-to declaration, in declaration order."""
-        for decl in self._applied_to.values():
-            vp = self.viewpoints.get(decl.viewpoint)
-            if vp is None:
-                continue
-            for name, kind in vp.kinds.items():
-                if kind == decl.metaclass:
-                    yield f"{vp.name}.{name}", decl.local_model
+        for local_model, viewpoint, metaclass in self._applied_to:
+            for name, kind in self.viewpoints[viewpoint].kinds.items():
+                if kind == metaclass:
+                    yield f"{viewpoint}.{name}", local_model
 
     def included_features(self) -> tuple[str, ...]:
         """Every feature the derived product includes: the global selection

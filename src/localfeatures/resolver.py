@@ -123,7 +123,7 @@ def explain(resolved: ResolvedProduct, element: str) -> tuple[Provenance, ...]:
         raise UnknownElement(f"no covered element {element!r} in the resolved product")
     mm, source = resolved.multimodel, resolved.spec.source_name
     rows: dict[str, Provenance] = {}
-    for local_model in _covering(mm, element.partition(".")[0], mm.element(element).kind):
+    for local_model in mm.covering(element.partition(".")[0], mm.element(element).kind):
         binding = mm.binding(element, local_model)
         if binding is None:
             for feature in mm.global_default(local_model):
@@ -137,14 +137,6 @@ def explain(resolved: ResolvedProduct, element: str) -> tuple[Provenance, ...]:
     return tuple(rows[name] for name in sorted(rows))
 
 
-def _covering(mm: Multimodel, viewpoint: str, metaclass: str) -> list[str]:
-    """The local models applied to a viewpoint's metaclass, in declaration
-    order. Each covers every element of the metaclass; a clause binds through
-    the first."""
-    return [d.local_model for d in mm.applied_to
-            if d.viewpoint == viewpoint and d.metaclass == metaclass]
-
-
 class _Resolution:
 
     def __init__(self, spec: ProductSpec, definition: SplDefinition):
@@ -153,9 +145,6 @@ class _Resolution:
         self.diagnostics: list[Diagnostic] = []
         self.clause_spans: dict[str, Span] = {}
         self.effective: dict[str, Configuration] = {}
-        # (local model, clause names) -> seeds, for clauses whose every name
-        # is a feature of that local model
-        self.seeds: dict[tuple[str, tuple[str, ...]], Configuration] = {}
 
     def report(self, code: str, message: str, span: Span | None,
                source: str | None = None, severity: str = "error") -> None:
@@ -173,7 +162,6 @@ class _Resolution:
         mm = Multimodel(definition.functional, viewpoints, global_selection, validate=False)
         for decl in definition.applied_to:
             mm.declare_applied_to(decl.local_model, decl.viewpoint, decl.metaclass)
-        self.defaults = {name: mm.global_default(name) for name in definition.functional.locals}
         self.place_all(mm)
         self.check_defaults(mm)
 
@@ -325,10 +313,10 @@ class _Resolution:
         """What placing an element of a metaclass needs, worked out once for
         all its elements: the viewpoint and metaclass, the viewpoint's
         element kinds (None if it has no such metaclass), and the local
-        models covering the metaclass (_covering)."""
+        models covering the metaclass (Multimodel.covering)."""
         vp = mm.viewpoints.get(viewpoint)
         kinds = vp.kinds if vp is not None and metaclass in vp.metaclasses else None
-        return viewpoint, metaclass, kinds, _covering(mm, viewpoint, metaclass)
+        return viewpoint, metaclass, kinds, mm.covering(viewpoint, metaclass)
 
     def place(self, mm: Multimodel, slot: tuple, name: str, span: Span,
               clause: FeatureClause | None, first: bool) -> None:
@@ -336,7 +324,8 @@ class _Resolution:
         clause, and record its effective configuration: the union, over the
         local models covering it, of its binding through the first or else
         each model's global default. A repeat (first is False) is not placed,
-        nor is an element that cannot be; its clause is only checked."""
+        nor is an element that cannot be; its clause is only checked. With
+        one covering model, the multimodel's own object is recorded as is."""
         seeds = self.clause_seeds(slot, name, clause)
         viewpoint, metaclass, kinds, covering = slot
         if not first:
@@ -362,10 +351,8 @@ class _Resolution:
                 self.report("invalid-selection", str(exc), clause.span)
             else:
                 self.clause_spans[element] = clause.span
-        # a single covering model's configuration is stored as is, so
-        # elements share it
         for local_model in covering if config is None else covering[1:]:
-            default = self.defaults[local_model]
+            default = mm.global_default(local_model)
             config = default if config is None else config | default
         if config is not None:
             self.effective[element] = config
@@ -373,11 +360,11 @@ class _Resolution:
     def clause_seeds(self, slot: tuple, name: str,
                      clause: FeatureClause | None) -> Configuration | None:
         """The seeds an element's clause binds through the first local model
-        covering its slot; None if there is no clause, or if it cannot bind,
-        which is reported. The seeds of a fully known clause are worked out
-        once per local model and list of names; a clause with an unknown
-        feature is checked afresh for each element, so each gets its own
-        diagnostics."""
+        covering its slot: its names, once each is known to be a feature of
+        that model. None if there is no clause, or if it cannot bind, which is
+        reported; every element gets its own diagnostics. The seeds are a
+        fresh set per element: bind_local shares one closure among equal
+        seeds."""
         if clause is None:
             return None
         viewpoint, metaclass, _, covering = slot
@@ -387,21 +374,17 @@ class _Resolution:
                         f"model is applied to {viewpoint}.{metaclass}", clause.span)
             return None
         local_name = covering[0]
-        key = (local_name, clause.names)
-        seeds = self.seeds.get(key)
-        if seeds is None:
-            local = self.definition.functional.locals[local_name]
-            unknown = [feature for feature in clause.names if feature not in local]
-            for feature in unknown:
+        local = self.definition.functional.locals[local_name]
+        if local.feature_names.issuperset(clause.names):
+            return frozenset(clause.names)
+        for feature in clause.names:
+            if feature not in local:
                 owner = self.owning_model(feature)
                 hint = f"; it belongs to {owner}" if owner else ""
                 self.report("unknown-feature",
                             f"{_described(metaclass, name)} selects {feature!r}, which is "
                             f"not a feature of local model {local_name!r}{hint}", clause.span)
-            if unknown:
-                return None
-            seeds = self.seeds[key] = frozenset(clause.names)
-        return seeds
+        return None
 
     def owning_model(self, feature: str) -> str | None:
         for name, local in self.definition.functional.locals.items():
@@ -415,7 +398,7 @@ class _Resolution:
 
     def check_defaults(self, mm: Multimodel) -> None:
         for name, local in self.definition.functional.locals.items():
-            report = validate_configuration(local, self.defaults[name])
+            report = validate_configuration(local, mm.global_default(name))
             if report.valid:
                 continue
             detail = "; ".join(v.message for v in report.violations)

@@ -146,9 +146,11 @@ class _DefinitionParser:
         global_names = [n for n in blocks if n not in local_names]
         if len(global_names) != 1:
             shown = ", ".join(global_names) or "none"
-            raise ParseError(
+            where = (self.ts.span(blocks[global_names[1]].head) if global_names
+                     else local_lines[0][0] if local_lines else Span(0, 0, 1, 1))
+            raise ParseError.at(
                 "definition needs exactly one feature model not declared LOCAL "
-                f"(the global model); candidates: {shown}", 1, 1)
+                f"(the global model); candidates: {shown}", where)
         global_name = global_names[0]
 
         global_model = self.build(blocks[global_name])

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from localfeatures import emit, parse, resolve, verify_schema
+from localfeatures import emit, parse, parse_spl_definition, resolve, verify_schema
 from localfeatures.emitter import SCHEMA_VERSION, _write
 from localfeatures.errors import UnresolvedErrors
 from localfeatures.resolver import ResolvedProduct
@@ -225,11 +225,20 @@ def test_derivation_config_is_plain_data(webeiel_resolved):
 
 # -- the writer against json.dumps, its oracle ------------------------------------------
 
-def test_emit_writes_what_json_dumps_writes(webeiel_resolved, gis_definition):
+def test_emit_writes_what_json_dumps_writes(webeiel_resolved, gis_definition, gis_spl_source):
     for source in ("CREATE GIS Minimal;", scale_spec_text(), scale_spec_text(50)):
         resolved = resolve(parse(source), gis_definition)
         assert emit(resolved) == dumps(derivation_config(resolved))
     assert emit(webeiel_resolved) == dumps(derivation_config(webeiel_resolved))
+
+    # with two local models covering data.Entity, each entity's effective
+    # configuration is a union of its own: equal values, distinct objects
+    two_on_entities = parse_spl_definition(
+        gis_spl_source + "LOCAL MapFeature APPLIED TO data.Entity;\n")
+    resolved = resolve(parse(scale_spec_text(2)), two_on_entities)
+    entities = [c for e, c in resolved.effective.items() if e.startswith("data.")]
+    assert len({id(c) for c in entities}) == len(entities) > len(set(entities))
+    assert emit(resolved) == dumps(derivation_config(resolved))
 
 
 def test_the_writer_matches_json_dumps_on_fuzz_products(gis_definition, ecommerce_on_entities):

@@ -189,6 +189,21 @@ def test_viewpoint_rejects_an_element_under_another_name():
     assert data == ViewpointModel("data", frozenset({"Entity"}), data.entities)
 
 
+def test_viewpoint_rejects_an_element_of_an_undeclared_metaclass():
+    # such an element could never be covered, since declare_applied_to
+    # accepts only the viewpoint's own metaclasses
+    with pytest.raises(UnknownMetaclass, match="element 'x' of undeclared metaclass 'Map'"):
+        ViewpointModel("data", frozenset({"Entity"}), {"x": ModelEntity("x", "Map")})
+
+
+def test_multimodel_rejects_a_viewpoint_under_another_name(gis_definition):
+    # filed under "data", its elements would be covered as vis.x, a name
+    # that no lookup finds
+    vis = ViewpointModel("vis", frozenset({"Map"}), {"x": ModelEntity("x", "Map")})
+    with pytest.raises(EntityNameMismatch, match="viewpoint 'vis' under 'data'"):
+        Multimodel(gis_definition.functional, {"data": vis})
+
+
 def test_element_lookup_partitions_on_the_first_dot(gis_multimodel):
     assert gis_multimodel.element("data.Hotel").kind == "Entity"
     with pytest.raises(UnknownElement):

@@ -121,7 +121,7 @@ def test_mutated_sources_slice_what_they_blame(name, call):
     ("CREATE ENTITY E (a Long);", parse, ""),
     ("FEATUREMODEL R {\n}\nDEFAULTS (A, B);", parse_spl_definition, "DEFAULTS (A, B);"),
     ("FEATUREMODEL R {\n}\nLOCAL W APPLIED TO data.Entity;", parse_spl_definition, "W"),
-    ("FEATUREMODEL R {\n}\nFEATUREMODEL S {\n}\n", parse_spl_definition, ""),
+    ("FEATUREMODEL R {\n}\nFEATUREMODEL S {\n}\n", parse_spl_definition, "FEATUREMODEL"),
 ])
 def test_each_error_slices_what_it_blames(source, call, blamed):
     error = raised(call, source)

@@ -566,6 +566,26 @@ def test_read_views_equal_what_the_spec_places_and_binds(copies, webeiel_spec, g
     assert [tuple(b) for b in mm.bindings] == expected[1:] + expected[:1]
 
 
+def test_the_multimodel_shares_each_default_and_closure(gis_definition):
+    resolved = resolve(parse(scale_spec_text(2), filename="scale.gis"), gis_definition)
+    mm = resolved.multimodel
+    covering = {}
+    for element, local_model in mm.covered_elements():
+        covering.setdefault(element, []).append(local_model)
+    locals_ = gis_definition.functional.locals
+    fallers = 0
+    for local_model in locals_:
+        default = mm.global_default(local_model)
+        assert mm.global_default(local_model) is default
+        for element, models in covering.items():
+            if models == [local_model] and mm.binding(element, local_model) is None:
+                assert resolved.effective[element] is default
+                fallers += 1
+    assert fallers == 200  # per copy, 46 maps and 54 base layer references with no clause
+    closures = {id(b.selection) for b in mm.bindings}
+    assert len({id(c) for c in resolved.effective.values()}) <= len(closures) + len(locals_)
+
+
 def test_resolve_leaves_no_tracked_object_per_element(gis_definition):
     """What resolve leaves for the cyclic collector must not grow with the
     number of elements: each full collection walks all of it."""

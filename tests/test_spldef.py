@@ -156,8 +156,31 @@ def test_two_candidate_globals_are_rejected():
 
 
 def test_no_candidate_global_is_rejected():
-    with pytest.raises(ParseError, match="candidates: none"):
+    with pytest.raises(ParseError, match="candidates: none") as exc:
         parse_spl_definition("VIEWPOINT data (Entity);")
+    # with no model and no LOCAL line, no token is to blame
+    error = exc.value
+    assert (error.line, error.column, error.start, error.end) == (1, 1, 0, 0)
+
+
+def test_global_model_errors_blame_what_the_definition_shows(gis_spl_source):
+    # a second candidate is reported at its FEATUREMODEL keyword
+    source = gis_spl_source + "FEATUREMODEL Extra {\n}\nFEATUREMODEL More {\n}\n"
+    with pytest.raises(ParseError, match="candidates: GIS_SPL, Extra, More") as exc:
+        parse_spl_definition(source)
+    error = exc.value
+    assert (error.line, error.column) == (67, 1)
+    assert source[error.start:error.end] == "FEATUREMODEL"
+    assert source[error.start:].startswith("FEATUREMODEL Extra")
+
+    # with every model LOCAL, at the first LOCAL line
+    source = ("VIEWPOINT data (Entity, Map);\nFEATUREMODEL R {\n}\n"
+              "LOCAL R APPLIED TO data.Entity;\nLOCAL R APPLIED TO data.Map;\n")
+    with pytest.raises(ParseError, match="candidates: none") as exc:
+        parse_spl_definition(source)
+    error = exc.value
+    assert (error.line, error.column) == (4, 1)
+    assert source[error.start:error.end] == "LOCAL R APPLIED TO data.Entity;"
 
 
 # -- declaration errors ---------------------------------------------------------------
