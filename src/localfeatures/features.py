@@ -12,17 +12,20 @@ Each model's index, laid out once, serves lookups, closure and enumeration;
 validate_configuration reads only the tree. Enumeration composes subtree
 configuration lists bottom-up: a product over a feature's children, a union
 over an xor group's, each constraint filtering at its endpoints' lowest
-common ancestor. Closure runs in passes from what the previous pass added,
-the seeds and root at first: their parents in name order, mandatory
-descendants of them and the new parents, then one requires sweep in
-declaration order. That order decides which rule gets the credit.
+common ancestor. It composes integer masks over the model's rank layout
+(the names in sorted order, rank r at bit n-1-r), sorts them by an integer
+key equal to sorting the configurations by their sorted names, and builds
+each result's frozenset once, at the end. Closure runs in passes from what
+the previous pass added, the seeds and root at first: their parents in name
+order, mandatory descendants of them and the new parents, then one requires
+sweep in declaration order. That order decides which rule gets the credit.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple
+from itertools import compress
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .errors import (
     DanglingConstraintEndpoint,
@@ -43,9 +46,6 @@ XOR: Literal["xor"] = "xor"
 OR: Literal["or"] = "or"
 REQUIRES: Literal["requires"] = "requires"
 EXCLUDES: Literal["excludes"] = "excludes"
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
 
 class Feature(NamedTuple):
     """One node of a feature tree.
@@ -124,6 +124,18 @@ class FeatureModel(Record):
         return FeatureIndex(tuple(features), position, tuple(parent), tuple(end), requires)
 
     @cached_property
+    def rank_layout(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The names in sorted order, and each feature's bit in a
+        configuration mask, by preorder position. Rank r is bit n-1-r, so a
+        mask's binary digits, padded to n, read the ranked names in order.
+        Only enumeration reads it, so it is laid out on first enumeration,
+        apart from the index that closure and lookups read."""
+        index = self.index
+        ranked = tuple(sorted(index.position))
+        bit_of = {name: 1 << r for r, name in enumerate(reversed(ranked))}
+        return ranked, tuple(bit_of[f.name] for f in index.features)
+
+    @cached_property
     def feature_names(self) -> frozenset[str]:
         return frozenset(self.index.position)
 
@@ -159,7 +171,7 @@ def build_feature_model(root: Feature,
     stack = [root]
     while stack:
         f = stack.pop()
-        if not _NAME_RE.match(f.name):
+        if not _is_feature_name(f.name):
             raise InvalidFeatureName(f"invalid feature name {f.name!r}", f.name)
         if f.name in seen:
             raise DuplicateFeatureName(f"duplicate feature name {f.name!r}", f.name)
@@ -182,6 +194,13 @@ def build_feature_model(root: Feature,
                     endpoint, ct)
 
     return FeatureModel(root, constraints, name or root.name)
+
+
+def _is_feature_name(name: str) -> bool:
+    """What [A-Za-z][A-Za-z0-9_]*\\Z matches: an ASCII letter, then ASCII
+    letters, digits and underscores. Checked with str methods, so that
+    importing this module compiles no regex."""
+    return name.isascii() and name[:1].isalpha() and name.replace("_", "").isalnum()
 
 
 def _normalize(f: Feature, *, is_root: bool = False, in_group: bool = False) -> Feature:
@@ -300,46 +319,99 @@ def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[C
     no doomed partial selection is extended. Validity is re-derived from the
     tree semantics, not taken from validate_configuration, so the two check
     each other. The result is sorted by the sorted feature-name tuple.
+
+    Partial configurations are int masks over the model's rank layout, so a
+    product is s | t, a constraint tests two bits, and a deep chain copies
+    no names. Sorting the masks by m.bit_count() - m - (m & -m) sorts the
+    configurations as key=sorted does. Two sorted name lists first differ
+    at the highest bit p where the masks differ; the one holding p comes
+    first, unless the other holds nothing below p and is thus its prefix.
+    Write them A = H | 1 << p | L and B = H | L' with L, L' < 1 << p. If
+    L' = 0, B's lowest bit is above p and B's key is the smaller; else
+    L' + (L' & -L') <= 1 << p and A's key is the smaller. Each mask becomes
+    a frozenset once, through its binary digits; when the results outnumber
+    the values that the two halves of a mask can take, each distinct half
+    is decoded once and the halves united.
     """
     features, position, parent, end, _ = fm.index
+    ranked, bit = fm.rank_layout
     if len(features) > max_features:
         raise ModelTooLarge(
             f"model has {len(features)} features, enumeration capped at {max_features}")
 
     # Each constraint goes under the child of its endpoints' lowest common
-    # ancestor whose subtree holds the later endpoint.
-    checks: dict[int, list[CrossTreeConstraint]] = {}
-    for ct in fm.constraints:
-        earlier, c = sorted((position[ct.lhs], position[ct.rhs]))
+    # ancestor whose subtree holds the later endpoint. A configuration
+    # breaks it when its two bits read `broken`: lhs alone for requires,
+    # both for excludes.
+    checks: dict[int, list[tuple[int, int]]] = {}
+    for kind, lhs, rhs in fm.constraints:
+        earlier, c = sorted((position[lhs], position[rhs]))
         while not parent[c] <= earlier < end[parent[c]]:
             c = parent[c]
-        checks.setdefault(c, []).append(ct)
+        lhs_bit = bit[position[lhs]]
+        both = lhs_bit | bit[position[rhs]]
+        checks.setdefault(c, []).append((both, lhs_bit if kind == REQUIRES else both))
 
-    def check(found: list[Configuration], c: int) -> list[Configuration]:
-        for kind, lhs, rhs in checks.get(c, ()):
-            if kind == REQUIRES:
-                found = [s for s in found if lhs not in s or rhs in s]
-            else:
-                found = [s for s in found if lhs not in s or rhs not in s]
+    def check(found: list[int], c: int) -> list[int]:
+        for both, broken in checks.get(c, ()):
+            found = [s for s in found if s & both != broken]
         return found
 
-    def configurations(i: int) -> list[Configuration]:
+    # Children come after their parent in preorder, so a backward sweep
+    # folds every child before its parent; a leaf's list is its bit alone.
+    configurations = [[b] for b in bit]
+    for i in range(len(features) - 1, -1, -1):
         f = features[i]
-        own = frozenset((f.name,))
-        kids = [position[c.name] for c in f.children]
+        if not f.children:
+            continue
+        own, kids, c = bit[i], [], i + 1
+        while c < end[i]:
+            kids.append(c)
+            c = end[c]
         if f.group == XOR:
-            found = [own | s for c in kids for s in configurations(c)]
+            found = [own | s for c in kids for s in configurations[c]]
             for c in kids:
                 found = check(found, c)
-            return found
-        found = [own]
-        for c, child in zip(kids, f.children):
-            product = [s | t for t in configurations(c) for s in found]
-            found = product if f.group is None and child.kind == MANDATORY else found + product
-            found = check(found, c)
-        return [s for s in found if len(s) > 1] if f.group == OR else found
+        else:
+            found = [own]
+            for c, child in zip(kids, f.children):
+                product = [s | t for t in configurations[c] for s in found]
+                found = product if f.group is None and child.kind == MANDATORY else found + product
+                found = check(found, c)
+            if f.group == OR:
+                found = [s for s in found if s != own]
+        configurations[i] = found
 
-    return sorted(configurations(0), key=sorted)
+    masks = configurations[0]
+    masks.sort(key=_trie_order)
+    # bin(m | top) spells "0b1", then m's digits from rank 0 on. _DIGITS
+    # makes "0" and "b" false and "1" true, so compress picks the names of
+    # m's set bits, and for the leading "1" the root, which every
+    # configuration holds.
+    names, top = (features[0].name,) * 3 + ranked, 1 << len(features)
+    half = len(features) // 2
+    if len(masks) <= (1 << half) + (1 << len(features) - half):
+        return _decode(masks, names, top)
+    # More configurations than the two halves of a mask can spell: decode
+    # each distinct half once and unite the halves of each configuration.
+    low = (1 << half) - 1
+    high = ~low
+    halves = {m & high for m in masks} | {m & low for m in masks}
+    decoded = dict(zip(halves, _decode(halves, names, top)))
+    return [decoded[m & high] | decoded[m & low] for m in masks]
+
+
+def _decode(masks: Iterable[int], names: tuple[str, ...], top: int) -> list[Configuration]:
+    return [frozenset(compress(names, bin(m | top).encode().translate(_DIGITS)))
+            for m in masks]
+
+
+_DIGITS = bytes.maketrans(b"0b1", b"\0\0\1")
+
+
+def _trie_order(m: int) -> int:
+    """A key that sorts masks as key=sorted sorts their configurations."""
+    return m.bit_count() - m - (m & -m)
 
 
 # ---------------------------------------------------------------------------

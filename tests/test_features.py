@@ -1,6 +1,8 @@
 """Feature model construction, configuration validation, enumeration, closure."""
 
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -25,7 +27,15 @@ from localfeatures.errors import (
     SelfConstraint,
     UnknownFeature,
 )
-from localfeatures.features import MANDATORY, OPTIONAL, OR, XOR
+from localfeatures.features import (
+    MANDATORY,
+    OPTIONAL,
+    OR,
+    XOR,
+    CrossTreeConstraint,
+    Feature,
+    _trie_order,
+)
 from localfeatures.spldef import MAX_FEATURE_DEPTH, parse_spl_definition
 
 from generators import (
@@ -96,6 +106,20 @@ def test_duplicate_feature_name_rejected():
 def test_duplicate_name_across_levels_rejected():
     with pytest.raises(DuplicateFeatureName):
         build_feature_model(mandatory("R", optional("A", optional("R"))))
+
+
+def test_feature_names_are_what_the_name_pattern_matches():
+    pattern = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+    rng = random.Random(17)
+    alphabet = "aZ09_ -.\n\té²"
+    names = ["".join(rng.choices(alphabet, k=rng.randrange(4))) for _ in range(3000)]
+    for name in names:
+        try:
+            build_feature_model(mandatory("Root", optional(name)))
+        except (InvalidFeatureName, DuplicateFeatureName):
+            assert not pattern.match(name) or name == "Root", repr(name)
+        else:
+            assert pattern.match(name), repr(name)
 
 
 @pytest.mark.parametrize("name", ["9lives", "", "has space", "dash-ed", "dot.ted"])
@@ -348,6 +372,74 @@ def test_enumeration_recurses_through_the_deepest_parsable_model():
     chain = ["R"] + [f"F{i}" for i in range(1, MAX_FEATURE_DEPTH + 1)]
     assert configs == sorted(
         (frozenset(chain[:i]) for i in range(1, len(chain) + 1)), key=sorted)
+
+
+# Names whose sorted order mixes upper and lower case, digits, underscores
+# and names that are prefixes of others.
+CLASHING_NAMES = ("A", "AB", "A_", "a", "F2", "F10", "Zz", "Z", "a_", "F1", "AB_", "b")
+
+
+def bits_by_name(fm):
+    return dict(zip((f.name for f in fm.iter_features()), fm.rank_layout[1]))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_the_mask_order_key_sorts_as_sorted_names_do(n):
+    for draw in range(3):
+        rng = random.Random(n * 10 + draw)
+        names = rng.sample(CLASHING_NAMES, n)
+        fm = build_feature_model(mandatory(names[0], *map(optional, names[1:])))
+        ranked = fm.rank_layout[0]
+        assert ranked == tuple(sorted(names))
+        bits = bits_by_name(fm)
+        assert [bits[name] for name in ranked] == [1 << n - 1 - r for r in range(n)]
+        subsets = [frozenset(c) for k in range(1, n + 1)
+                   for c in itertools.combinations(names, k)]
+        masks = {sum(bits[name] for name in subset): subset for subset in subsets}
+        shuffled = list(masks)
+        rng.shuffle(shuffled)  # a key that ties would keep this order
+        assert [masks[m] for m in sorted(shuffled, key=_trie_order)] == sorted(subsets, key=sorted)
+
+
+def renamed(fm, names):
+    """fm with its features renamed, in preorder, to names."""
+    new = dict(zip((f.name for f in fm.iter_features()), names))
+
+    def copy(f):
+        return Feature(new[f.name], f.kind, f.group, f.abstract, tuple(map(copy, f.children)))
+
+    return build_feature_model(
+        copy(fm.root), [CrossTreeConstraint(ct.kind, new[ct.lhs], new[ct.rhs])
+                        for ct in fm.constraints])
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_enumeration_matches_the_brute_force_on_models_with_clashing_names(seed):
+    rng = random.Random(9000 + seed)
+    fm = random_feature_model(rng, max_features=len(CLASHING_NAMES))
+    fm = renamed(fm, rng.sample(CLASHING_NAMES, len(fm.feature_names)))
+    assert enumerate_configurations(fm) == brute_force_configurations(fm)
+
+
+@pytest.mark.parametrize("leaves", [11, 12])
+def test_enumeration_lists_every_subset_of_many_free_leaves(leaves):
+    # 2^leaves configurations, more than the two halves of a mask can take,
+    # so each distinct half is decoded once and the halves united
+    names = [f"L{i}" for i in range(leaves)]
+    fm = build_feature_model(mandatory("R", *map(optional, names)))
+    configs = enumerate_configurations(fm)
+    assert configs == sorted(
+        (frozenset({"R", *c}) for k in range(leaves + 1)
+         for c in itertools.combinations(names, k)), key=sorted)
+
+
+def test_enumeration_keeps_masks_wider_than_a_machine_word():
+    # 71 features, so a configuration's mask needs more than 64 bits
+    leaves = [optional(f"L{i}") for i in range(70)]
+    fm = build_feature_model(mandatory("R", *leaves, group=XOR))
+    configs = enumerate_configurations(fm, max_features=80)
+    assert configs == sorted(
+        (frozenset({"R", f"L{i}"}) for i in range(70)), key=sorted)
 
 
 @pytest.mark.parametrize("seed", range(20))
