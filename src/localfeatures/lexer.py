@@ -10,10 +10,10 @@ no token starts with, or the empty end of input). The result is three flat
 sequences indexed by token: kind, text and end offset. No per-token object
 is built, and no line or column is counted while lexing: TokenStream turns
 an offset into a line and column only when the parser builds a Span or an
-error, by a bisect over the source's line starts. tokenize() still returns
-one six-field Token per token, for callers that want them. A parser tests
-TokenStream.kind and moves only by reading: expect, match, expect_run,
-parenthesised and names, none of which moves past the EOF token.
+error, by a bisect over the source's line starts. tokenize() is the same
+lexing and returns the kinds alone. A parser tests TokenStream.kind and
+moves only by reading: expect, match, expect_run, parenthesised and names,
+none of which moves past the EOF token.
 
 Because the whole source is lexed before parsing starts, a bad character
 anywhere in it is the error reported, ahead of any syntax error the parser
@@ -25,9 +25,9 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, repeat
-from operator import add, sub
-from typing import Callable, NamedTuple, NoReturn, TypeVar
+from itertools import accumulate
+from operator import add
+from typing import Callable, NoReturn, TypeVar
 
 from .errors import ParseError
 from .syntax import Span
@@ -67,15 +67,6 @@ _PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
 _BAD = "bad character"  # the kind lex() raises at; no token carries it
-
-
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-    offset: int
-    end: int
 
 
 class _Kinds(dict):
@@ -125,17 +116,10 @@ def line_starts(source: str) -> list[int]:
     return list(accumulate(map((1).__add__, map(len, source.split("\n")[:-1])), initial=0))
 
 
-def tokenize(source: str, keywords: frozenset[str]) -> list[Token]:
-    """Every token of source with its line and column, ending with EOF."""
-    kinds, texts, ends = lex(source, keywords)
-    offsets = list(map(sub, ends, map(len, texts)))
-    starts = line_starts(source)
-    lines = list(map(bisect_right, repeat(starts), offsets))
-    before = [0, *map((1).__rsub__, starts)]  # before[line] + column == offset
-    columns = map(sub, offsets, map(before.__getitem__, lines))
-    # built by C-level iterators alone: no Python frame per token
-    return list(map(_new, repeat(Token),
-                    zip(kinds, texts, lines, columns, offsets, ends)))
+def tokenize(source: str, keywords: frozenset[str]) -> tuple[str, ...]:
+    """The kind of every token of source, ending with EOF: the lexing a parse
+    runs, so its length is the token count."""
+    return lex(source, keywords)[0]
 
 
 class _ListsOfNames(dict):

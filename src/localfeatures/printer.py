@@ -26,18 +26,9 @@ _INDENT = "    "
 
 
 def format_spec(spec: ProductSpec) -> str:
-    parts = [_statement(d) for d in spec.declarations()]
+    parts = [*map(_entity, spec.entities), *map(_layer, spec.layers),
+             *map(_map, spec.maps), _product(spec.product)]
     return "\n\n".join(parts) + "\n"
-
-
-def _statement(decl) -> str:
-    if isinstance(decl, EntityDecl):
-        return _entity(decl)
-    if isinstance(decl, LayerDecl):
-        return _layer(decl)
-    if isinstance(decl, MapDecl):
-        return _map(decl)
-    return _product(decl)
 
 
 def _entity(decl: EntityDecl) -> str:

@@ -409,7 +409,9 @@ class _Resolution:
                 outcome = f" and {', '.join(sorted(falling)[:3])}{more} fall back to it"
             else:
                 outcome = "; no element falls back to it"
+            # cited at DEFAULTS, or else at the model's first LOCAL line
+            span = self.definition.defaults_span or next(
+                (d.span for d in self.definition.applied_to if d.local_model == name), None)
             self.report("invalid-global-default",
                         f"global default for local model {name!r} is invalid ({detail}){outcome}",
-                        self.definition.defaults_span, self.definition.source_name,
-                        "error" if falling else "warning")
+                        span, self.definition.source_name, "error" if falling else "warning")

@@ -28,7 +28,7 @@ from localfeatures.features import (
     FeatureModel,
     build_feature_model,
 )
-from localfeatures.lexer import DEFINITION_KEYWORDS, EOF, IDENT, NUMBER, TokenStream, tokenize
+from localfeatures.lexer import DEFINITION_KEYWORDS, EOF, IDENT, NUMBER, TokenStream, lex
 from localfeatures.resolver import ResolvedProduct
 from localfeatures.spldef import SplDefinition
 from localfeatures.syntax import (
@@ -170,7 +170,7 @@ _DIGITS = frozenset("0123456789")
 def reference_tokenize(source: str, keywords: frozenset[str]) -> list[tuple]:
     """The tokens of source as (kind, text, line, column, offset, end)
     tuples, found by stepping through it one character at a time; raises
-    the same ParseError as lexer.tokenize at the first bad character. The
+    the same ParseError as lexer.lex at the first bad character. The
     slow oracle for the regex lexer."""
     tokens: list[tuple] = []
     pos = 0
@@ -270,12 +270,12 @@ def mutated_runs(source: str, keywords: frozenset[str], rng: random.Random,
     """count copies of source, each with one token in or next to a keyword
     run or name list changed: dropped, doubled, replaced by a keyword, a
     number, a name or punctuation, or the source cut off just before it."""
-    tokens = tokenize(source, keywords)
-    kinds = [token.kind for token in tokens]
+    tokens = lex(source, keywords)
+    kinds = tokens[0]
     sites: list[tuple[int, int]] = []
-    for first in range(len(tokens)):
+    for first in range(len(kinds)):
         for run in _RUN_SITES:
-            if tuple(kinds[first:first + len(run)]) == run:
+            if kinds[first:first + len(run)] == run:
                 last = first + len(run)
                 while kinds[last] not in (")", ";", EOF):
                     last += 1
@@ -287,28 +287,31 @@ def mutated_heads(source: str, rng: random.Random, count: int) -> list[str]:
     """count copies of a definition, each with one token of a LOCAL line, a
     VIEWPOINT head or a FEATUREMODEL head, or of the token after it, changed
     as mutated_runs changes it."""
-    tokens = tokenize(source, DEFINITION_KEYWORDS)
-    kinds = [token.kind for token in tokens]
-    sites = [(first, first + len(head)) for first in range(len(tokens))
-             for head in _HEAD_SITES if tuple(kinds[first:first + len(head)]) == head]
+    tokens = lex(source, DEFINITION_KEYWORDS)
+    kinds = tokens[0]
+    sites = [(first, first + len(head)) for first in range(len(kinds))
+             for head in _HEAD_SITES if kinds[first:first + len(head)] == head]
     return _mutants(source, tokens, sites, _HEAD_STAND_INS, rng, count)
 
 
-def _mutants(source: str, tokens: list, sites: list[tuple[int, int]],
+def _mutants(source: str, tokens: tuple, sites: list[tuple[int, int]],
              stand_ins: tuple[str, ...], rng: random.Random, count: int) -> list[str]:
     """count copies of source, each with one token of a random site (first
     to last token, both included) dropped, doubled, replaced by one of
-    stand_ins, or with the source cut off just before it."""
+    stand_ins, or with the source cut off just before it. tokens is what
+    lex returns: a token starts at its end minus the length of its text."""
+    _, texts, ends = tokens
     mutants = []
     for _ in range(count):
         first, last = rng.choice(sites)
-        token = tokens[rng.randint(first, last)]
-        head, tail = source[:token.offset], source[token.end:]
+        token = rng.randint(first, last)
+        text, end = texts[token], ends[token]
+        head, tail = source[:end - len(text)], source[end:]
         how = rng.choice(("drop", "double", "replace", "replace", "cut"))
         if how == "drop":
             mutants.append(f"{head} {tail}")
         elif how == "double":
-            mutants.append(f"{head}{token.text} {token.text}{tail}")
+            mutants.append(f"{head}{text} {text}{tail}")
         elif how == "replace":
             mutants.append(f"{head}{rng.choice(stand_ins)}{tail}")
         else:

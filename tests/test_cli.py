@@ -95,6 +95,25 @@ def test_check_counts_warnings_without_failing(files, capsys):
     assert "warning[invalid-global-default]" in err
 
 
+def test_check_cites_an_invalid_default_without_defaults_at_the_local_line(files, capsys):
+    spl = write(files, "nodef.spl", (
+        "VIEWPOINT data (Entity);\n\n"
+        "FEATUREMODEL Shop {\n    OPTIONAL Listing {\n        MANDATORY Layout XOR {\n"
+        "            Grid\n            List\n        }\n    }\n}\n\n"
+        "FEATUREMODEL Listing {\n    MANDATORY Layout XOR {\n"
+        "        Grid\n        List\n    }\n}\n\n"
+        "LOCAL Listing APPLIED TO data.Entity;\n"))
+    spec = write(files, "nodef.gis",
+                 "CREATE ENTITY Author (id Long IDENTIFIER);\nCREATE GIS Bookshop;")
+    rc = main(["check", spec, "--spl", spl])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith(f"{spl}:19:1: error[invalid-global-default]: global default for "
+                          "local model 'Listing' is invalid (")
+    assert err.endswith(") and data.Author fall back to it\n")
+    assert out == "1 errors, 0 warnings\n"
+
+
 def test_check_json_format(files, capsys):
     bad = write(files, "bad.gis",
                 "CREATE GIS X WITH FEATURES (Bogus, LeftMenu, TopMenu);")

@@ -23,7 +23,8 @@ KEYWORD_SETS = pytest.mark.parametrize(
     "keywords", [SPEC_KEYWORDS, DEFINITION_KEYWORDS], ids=["spec", "definition"])
 
 EDGE_CASES = ["", "// x", "1..2 -3.5 1.x -", "x-1", "--1", "_y",
-              "a\r\nb\rc\r\n", "x\r\n\r\n  y", "x // end", "x\n// end\n", "\n\n"]
+              "a\r\nb\rc\r\n", "x\r\n\r\n  y", "x // end", "x\n// end\n", "\n\n",
+              'x\n  "', "CREATE GIS g;\n_y", "a\r\né b"]
 ALPHABET = 'aZ_09 \t\r\n-./*()[]{},;"é\x0b'
 # Without the characters that can make the lexer fail, so that about half the
 # random sources lex cleanly and are compared token by token.
@@ -34,10 +35,10 @@ def fields(error):
     return error.message, error.line, error.column, error.start, error.end, error.expected
 
 
-def outcome(lex, source, keywords):
-    """Every token as a plain 6-tuple, or the ParseError's fields."""
+def outcome(read, source, keywords):
+    """The tokens read gives, or the fields of the ParseError it raises."""
     try:
-        return [tuple(tok) for tok in lex(source, keywords)]
+        return read(source, keywords)
     except ParseError as exc:
         return fields(exc)
 
@@ -70,18 +71,34 @@ def raised(call, source):
     return fields(exc.value)
 
 
-@KEYWORD_SETS
-@pytest.mark.parametrize("source", [
+SOURCES = pytest.mark.parametrize("source", [
     packaged("gis.spl"),
     packaged("webeiel.gis"),
     (FIXTURES / "ecommerce.spl").read_text(),
     scale_spec_text(),
     *EDGE_CASES,
 ], ids=["gis.spl", "webeiel.gis", "ecommerce.spl", "scale", *map(repr, EDGE_CASES)])
+
+
+@KEYWORD_SETS
+@SOURCES
 def test_tokens_match_the_reference(source, keywords):
-    expected = outcome(reference_tokenize, source, keywords)
-    assert outcome(tokenize, source, keywords) == expected
-    assert outcome(streamed, source, keywords) == expected
+    assert outcome(streamed, source, keywords) == outcome(reference_tokenize, source, keywords)
+
+
+@KEYWORD_SETS
+@SOURCES
+def test_tokenize_is_the_lexing_a_parse_walks(source, keywords):
+    """tokenize gives the kind of every token a TokenStream walks over, EOF
+    included, so its length is the stream's token count; at a bad character
+    it raises what lex raises, as the stream does."""
+    walked = outcome(streamed, source, keywords)
+    if isinstance(walked, tuple):
+        assert raised(lambda s: tokenize(s, keywords), source) == walked
+        return
+    kinds = tokenize(source, keywords)
+    assert list(kinds) == [token[0] for token in walked]
+    assert len(kinds) == len(TokenStream(source, keywords).texts)
 
 
 @KEYWORD_SETS
@@ -92,19 +109,18 @@ def test_random_strings_lex_as_the_reference_does(keywords):
     assert 3300 < failing < 6700
     for source in sources:
         expected = outcome(reference_tokenize, source, keywords)
-        assert outcome(tokenize, source, keywords) == expected, repr(source)
         assert outcome(streamed, source, keywords) == expected, repr(source)
 
 
 def test_edge_case_tokens():
-    assert [(t.kind, t.text) for t in tokenize("1..2 -3.5 1.x x-1", SPEC_KEYWORDS)] == [
+    assert [t[:2] for t in streamed("1..2 -3.5 1.x x-1", SPEC_KEYWORDS)] == [
         ("NUMBER", "1"), ("..", ".."), ("NUMBER", "2"), ("NUMBER", "-3.5"),
         ("NUMBER", "1"), (".", "."), ("IDENT", "x"), ("IDENT", "x"),
         ("NUMBER", "-1"), (EOF, "")]
-    assert tokenize("// x", SPEC_KEYWORDS) == [(EOF, "", 1, 5, 4, 4)]
-    assert outcome(tokenize, "--1", SPEC_KEYWORDS) == (
+    assert streamed("// x", SPEC_KEYWORDS) == [(EOF, "", 1, 5, 4, 4)]
+    assert outcome(streamed, "--1", SPEC_KEYWORDS) == (
         "unexpected character '-'", 1, 1, 0, 1, ())
-    assert tokenize("a\r\nb", SPEC_KEYWORDS)[1] == ("IDENT", "b", 2, 1, 3, 4)
+    assert streamed("a\r\nb", SPEC_KEYWORDS)[1] == ("IDENT", "b", 2, 1, 3, 4)
 
 
 @pytest.mark.parametrize("source", ["", "x", "CREATE GIS g;\n// end"])

@@ -625,6 +625,17 @@ def test_invalid_default_is_an_error_when_elements_fall_back_to_it():
     assert "fall back to it" in diag.message
 
 
+def test_invalid_default_without_defaults_is_cited_at_the_first_local_line():
+    definition = parse_spl_definition(XOR_LOCAL_DEFINITION, filename="xor.spl")
+    assert definition.defaults_span is None
+    resolved = resolve_text("CREATE ENTITY City (id Long IDENTIFIER);\nCREATE GIS X;",
+                            definition)
+    (diag,) = resolved.diagnostics
+    assert (diag.code, diag.source) == ("invalid-global-default", "xor.spl")
+    assert diag.span == definition.applied_to[0].span
+    assert (diag.span.line, diag.span.column) == (19, 1)
+
+
 def test_invalid_default_is_a_warning_when_every_element_is_bound():
     definition = parse_spl_definition(XOR_LOCAL_DEFINITION, filename="xor.spl")
     source = ("CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (A);\n"
