@@ -1,5 +1,6 @@
 """The lfc command line: exit codes, diagnostic format, emitted files."""
 
+import hashlib
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from localfeatures.resolver import Diagnostic
 from localfeatures.spldef import MAX_FEATURE_DEPTH
 
 from conftest import FIXTURES
-from generators import nested_spl
+from generators import nested_spl, scale_spec_text
 
 TOY_SPL = """\
 FEATUREMODEL R {
@@ -139,7 +140,8 @@ def test_check_json_format_stays_silent_when_clean(files, capsys):
 def test_check_missing_files(files, capsys):
     rc = main(["check", str(files / "nope.gis"), "--spl", str(files / "gis.spl")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: [Errno 2] No such file or directory: '{files / 'nope.gis'}'\n")
 
     rc = main(["check", str(files / "webeiel.gis"), "--spl", str(files / "no.spl")])
     assert rc == 2
@@ -216,15 +218,19 @@ def test_check_warns_about_an_inert_local_line(files, capsys):
 
 
 def test_json_format_reports_syntax_errors_at_their_position(files, capsys):
-    bad = write(files, "bad.gis", "CREATE GIS x;\n_y")
-    rc = main(["check", bad, "--spl", str(files / "gis.spl"), "--format", "json"])
-    out, err = capsys.readouterr()
-    assert rc == 1 and out == ""
-    [row] = json.loads(err)
-    assert (row["line"], row["column"], row["code"]) == (2, 1, "syntax")
+    # the second is a bad character after an earlier syntax error, which it beats
+    for source, message in [("CREATE GIS x;\n_y", "unexpected character '_'"),
+                            ('CREATE FOO;\n"', "unexpected character '\"'")]:
+        bad = write(files, "bad.gis", source)
+        rc = main(["check", bad, "--spl", str(files / "gis.spl"), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        [row] = json.loads(err)
+        assert (row["line"], row["column"], row["code"]) == (2, 1, "syntax")
 
-    rc = main(["check", bad, "--spl", str(files / "gis.spl")])
-    assert capsys.readouterr().err.startswith(f"{bad}:2:1: error[syntax]: ")
+        rc = main(["check", bad, "--spl", str(files / "gis.spl")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"{bad}:2:1: error[syntax]: {message}\n"
 
 
 def test_check_reports_undeclared_local_models_at_the_name(files, capsys):
@@ -235,6 +241,15 @@ def test_check_reports_undeclared_local_models_at_the_name(files, capsys):
     assert rc == 1
     assert err == (f"{bad}:5:7: error[syntax]: "
                    "LOCAL references undeclared feature model 'W'\n")
+
+    # a second global model candidate, at its FEATUREMODEL line
+    gis_spl = (files / "gis.spl").read_text(encoding="utf-8")
+    two = write(files, "two.spl", gis_spl + "FEATUREMODEL Extra {\n}\n")
+    rc = main(["check", str(files / "webeiel.gis"), "--spl", two])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"{two}:{gis_spl.count(chr(10)) + 1}:1: error[syntax]: definition needs exactly one "
+        "feature model not declared LOCAL (the global model); candidates: GIS_SPL, Extra\n")
 
 
 def test_check_cites_unplaceable_elements_in_the_spec(files, capsys):
@@ -352,6 +367,21 @@ def test_emit_leaves_no_file_behind_on_errors(files, capsys, monkeypatch):
     assert rc == 1
     assert not (files / "Broken.derivation.json").exists()
     assert not list(files.glob(".emit-*"))
+    capsys.readouterr()
+
+    # a repeated declaration has its clause checked too
+    repeated = write(files, "rep.gis", (
+        "CREATE ENTITY City (id Long IDENTIFIER) WITH FEATURES (Nope);\n" * 2
+        + "CREATE GIS G;\n"))
+    for argv in (["check"], ["emit", "--out", "rep.json"], ["emit"]):
+        rc = main([*argv, repeated, "--spl", str(files / "gis.spl")])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.count("error[unknown-feature]") == 2
+        assert out == ("3 errors, 0 warnings\n" if argv == ["check"] else "")
+    assert not (files / "rep.json").exists()
+    assert not (files / "G.derivation.json").exists()
+    assert not list(files.glob(".emit-*"))
 
 
 # -- explain -------------------------------------------------------------------
@@ -370,15 +400,17 @@ def test_explain_prints_an_aligned_table(files, capsys):
 
 
 def test_explain_lists_bound_features(files, capsys):
-    rc = main(["explain", str(files / "webeiel.gis"), "data.Municipality",
-               "--spl", str(files / "gis.spl")])
-    out, _ = capsys.readouterr()
-    lines = out.splitlines()
-    assert rc == 0
-    assert len(lines) == 6  # header plus five features
-    assert lines[1].startswith("EntityFeature")
-    assert "local (bound local root)" in lines[1]
-    assert all("webeiel.gis:" in line for line in lines[1:])
+    # the rows read the element and its binding back from the multimodel
+    for element, features in [("data.Municipality", 5), ("data.Hotel", 7)]:
+        rc = main(["explain", str(files / "webeiel.gis"), element,
+                   "--spl", str(files / "gis.spl")])
+        out, _ = capsys.readouterr()
+        lines = out.splitlines()
+        assert rc == 0
+        assert len(lines) == 1 + features
+        [root] = [line for line in lines if line.startswith("EntityFeature")]
+        assert re.match(r"EntityFeature +local \(bound local root\)  ", root)
+        assert all("webeiel.gis:" in line for line in lines[1:])
 
 
 def test_explain_prints_the_table_and_fails_after_error_diagnostics(files, capsys):
@@ -398,7 +430,8 @@ def test_explain_rejects_unknown_elements(files, capsys):
     rc = main(["explain", str(files / "webeiel.gis"), "data.Nope",
                "--spl", str(files / "gis.spl")])
     assert rc == 2
-    assert "no covered element" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: no covered element 'data.Nope' in the resolved product\n")
 
 
 # -- features --------------------------------------------------------------------
@@ -409,6 +442,7 @@ def test_features_lists_the_included_features(files, capsys, webeiel_resolved):
     out, _ = capsys.readouterr()
     assert rc == 0
     assert out.splitlines() == list(webeiel_resolved.included)
+    assert "GIS_SPL" in out.splitlines()
 
 
 def test_features_fails_on_errors(files, capsys):
@@ -432,21 +466,30 @@ def test_enumerate_prints_count_then_configurations(files, capsys):
 
 
 def test_enumerate_handles_local_models(files, capsys):
-    rc = main(["enumerate", "--spl", str(files / "gis.spl"),
-               "--model", "EntityFeature"])
-    out, _ = capsys.readouterr()
-    lines = out.splitlines()
-    assert rc == 0
-    assert lines[0] == "23"
-    assert len(lines) == 24
-    assert all("EntityFeature" in line for line in lines[1:])
+    # the whole output, each configuration and their order, is pinned by its
+    # digest; GIS_SPL is the largest packaged model, whose REQUIRES FormAccess
+    # Form meets below the root
+    for model, count, digest in [
+            ("EntityFeature", 23,
+             "028d387eaea55430e08e246f23108994cc47ac284d75b6bd6ea34fe8dd09ec71"),
+            ("GIS_SPL", 8832,
+             "68dc9143d5d8fca6e9b4b3ea38c03641d7c275509f99f92e4668c37def4bf8b3")]:
+        rc = main(["enumerate", "--spl", str(files / "gis.spl"), "--model", model])
+        out, _ = capsys.readouterr()
+        lines = out.splitlines()
+        assert rc == 0
+        assert lines[0] == str(count)
+        assert len(lines) == count + 1
+        assert all(model in line for line in lines[1:])
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_rejects_unknown_models(files, capsys):
     rc = main(["enumerate", "--spl", str(files / "gis.spl"), "--model", "Nope"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert "GIS_SPL, EntityFeature, MapFeature, LayerFeature" in err
+    assert err == ("error: no feature model named 'Nope' "
+                   "(known: GIS_SPL, EntityFeature, MapFeature, LayerFeature)\n")
 
 
 def test_enumerate_respects_the_size_cap(files, capsys):
@@ -529,6 +572,66 @@ def test_a_closed_stdout_ends_enumerate_quietly(files, package_env):
     assert first == b"8832\n"
     assert err == b""
     assert proc.returncode == 141
+
+
+
+# -- determinism across processes ------------------------------------------------
+
+# One lfc session in a fresh interpreter, run in a directory of its own
+# whose parent holds webeiel.gis, gis.spl, scale.gis and broken.gis. It
+# prints one sha256 per command, of its exit code, stdout, stderr and the
+# file it wrote, if any.
+_SESSION = """\
+import contextlib, hashlib, io, os
+from localfeatures import parse, parse_spl_definition, resolve
+from localfeatures.cli import main
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    written = b""
+    if os.path.exists("out.json"):
+        with open("out.json", "rb") as handle:
+            written = handle.read()
+        os.remove("out.json")
+    text = f"{rc}\\0{out.getvalue()}\\0{err.getvalue()}\\0".encode() + written
+    print(" ".join(argv[:3]), hashlib.sha256(text).hexdigest())
+
+spl = ("--spl", "../gis.spl")
+run("emit", "../webeiel.gis", *spl, "--out", "out.json")
+run("emit", "../scale.gis", *spl, "--out", "out.json")
+with open("../webeiel.gis", encoding="utf-8") as handle:
+    spec = parse(handle.read(), filename="../webeiel.gis")
+with open("../gis.spl", encoding="utf-8") as handle:
+    definition = parse_spl_definition(handle.read(), filename="../gis.spl")
+for element in sorted(resolve(spec, definition).effective):
+    run("explain", "../webeiel.gis", element, *spl)
+run("features", "../webeiel.gis", *spl)
+run("check", "../broken.gis", *spl, "--format", "json")
+run("enumerate", *spl, "--model", "GIS_SPL")
+"""
+
+
+def test_commands_print_the_same_bytes_under_any_hash_seed(
+        files, package_env, webeiel_resolved):
+    """The README's "emission is deterministic", across processes: sets of
+    names iterate in an order that depends on PYTHONHASHSEED."""
+    write(files, "scale.gis", scale_spec_text(3))
+    write(files, "broken.gis", (files / "webeiel.gis").read_text(encoding="utf-8").replace(
+        "FormAccess, Filterable);", "FormAccess, Filterable, Sidebar, Nope);", 1))
+    children = []
+    for seed in ("0", "1"):
+        (files / seed).mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _SESSION], cwd=files / seed,
+            env={**package_env, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+    (first, first_err), (second, second_err) = (child.communicate(timeout=60)
+                                                for child in children)
+    assert first_err == second_err == ""
+    assert len(first.splitlines()) == len(webeiel_resolved.effective) + 5
+    assert first == second
 
 
 # -- color ----------------------------------------------------------------------
