@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     UnknownElement,
 )
-from .syntax import Span
 
 # Each command imports the layers it runs, so that `lfc enumerate` loads no
 # parser, resolver or emitter, and only `lfc emit` loads the emitter.
@@ -163,20 +162,17 @@ def _usage_error(message: object) -> NoReturn:
     raise _Exit(USAGE_ERROR)
 
 
-def _report_error(code: str, message: str, span: Span | None, path: str, fmt: str) -> NoReturn:
-    """Print one error diagnostic and exit 1."""
+def _report_error(exc: LocalFeaturesError, path: str, fmt: str) -> NoReturn:
+    """Print the error a parser raised as one diagnostic at the span it
+    blames, and exit 1: a syntax error, or else one in the definition."""
     from .resolver import Diagnostic
 
-    print_diagnostics((Diagnostic("error", code, message, span, path),), fmt)
+    if isinstance(exc, ParseError):
+        code, message = "syntax", exc.detail()
+    else:
+        code, message = "definition", str(exc)
+    print_diagnostics((Diagnostic("error", code, message, exc.span, path),), fmt)
     raise _Exit(1)
-
-
-def _parse_failure(exc: ParseError, path: str, fmt: str) -> NoReturn:
-    message = exc.message
-    if exc.expected:
-        message += f" (expected {', '.join(exc.expected)})"
-    span = Span(exc.start, exc.end, exc.line, exc.column)
-    _report_error("syntax", message, span, path, fmt)
 
 
 def _load(args) -> ResolvedProduct:
@@ -188,8 +184,8 @@ def _load(args) -> ResolvedProduct:
     fmt = args.format
     try:
         spec = parse(spec_text, filename=args.spec)
-    except ParseError as exc:
-        _parse_failure(exc, args.spec, fmt)
+    except LocalFeaturesError as exc:
+        _report_error(exc, args.spec, fmt)
     resolved = resolve(spec, _load_definition(spl_text, args.spl, fmt))
     print_diagnostics(resolved.diagnostics, fmt)
     return resolved
@@ -200,10 +196,8 @@ def _load_definition(text: str, path: str, fmt: str) -> SplDefinition:
 
     try:
         return parse_spl_definition(text, filename=path)
-    except ParseError as exc:
-        _parse_failure(exc, path, fmt)
     except LocalFeaturesError as exc:
-        _report_error("definition", str(exc), exc.span, path, fmt)
+        _report_error(exc, path, fmt)
 
 
 def _read_inputs(*paths: str) -> list[str]:

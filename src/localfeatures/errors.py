@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from .syntax import _NO_SPAN, Span
+
 
 class LocalFeaturesError(Exception):
-    """Base class for all errors raised by this package. A parser that
-    raises an error found while building what it read sets span to the
-    source range that error is about."""
+    """Base class for all errors raised by this package. span is the source
+    range an error is about: every ParseError has one, and a parser that
+    raises another error, found while building what it read, sets it."""
 
     span = None
 
@@ -108,29 +110,24 @@ class NotApplicable(MultimodelError):
 # ---------------------------------------------------------------------------
 
 class ParseError(LocalFeaturesError):
-    """A syntax error with a source position, the token kinds expected there,
-    and the half-open character range [start, end) of the text it blames."""
+    """A syntax error: its message, the span of the text it blames and the
+    token kinds expected there. start, end, line and column are the span's."""
 
-    def __init__(self, message: str, line: int, column: int,
-                 expected: tuple[str, ...] = (), start: int = 0, end: int = 0):
+    def __init__(self, message: str, span: Span, expected: tuple[str, ...] = ()):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.column = column
+        self.span = span
         self.expected = tuple(expected)
-        self.start = start
-        self.end = end
+        self.start, self.end, self.line, self.column = span
 
-    @classmethod
-    def at(cls, message: str, where, expected: tuple[str, ...] = ()) -> ParseError:
-        """The error blaming where, a Span."""
-        return cls(message, where.line, where.column, expected, where.start, where.end)
+    def detail(self) -> str:
+        """The message, followed by the kinds expected if there are any."""
+        if self.expected:
+            return f"{self.message} (expected {', '.join(self.expected)})"
+        return self.message
 
     def __str__(self) -> str:
-        pos = f"{self.line}:{self.column}"
-        if self.expected:
-            return f"{pos}: {self.message} (expected {', '.join(self.expected)})"
-        return f"{pos}: {self.message}"
+        return f"{self.line}:{self.column}: {self.detail()}"
 
 
 class DuplicateFlag(ParseError):
@@ -143,7 +140,7 @@ class MultipleProducts(ParseError):
 
 class MissingProduct(ParseError):
     def __init__(self, message: str = "specification declares no product"):
-        super().__init__(message, 1, 1)
+        super().__init__(message, _NO_SPAN)
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,11 @@ def lex(source: str, keywords: frozenset[str]) -> tuple[tuple[str, ...], tuple[s
     kinds = tuple(map(_Kinds(keywords).__getitem__, texts))
     ends = array("q", accumulate(map(add, map(len, parts[1:3 * last + 2:3]), map(len, texts))))
     if _BAD in kinds:
-        offset = ends[kinds.index(_BAD)] - 1
-        line_start = source.rfind("\n", 0, offset) + 1
-        raise ParseError(f"unexpected character {source[offset]!r}",
-                         source.count("\n", 0, offset) + 1, offset - line_start + 1,
-                         start=offset, end=offset + 1)
+        start = ends[kinds.index(_BAD)] - 1
+        starts = line_starts(source)
+        line = bisect_right(starts, start)
+        raise ParseError(f"unexpected character {source[start]!r}",
+                         Span(start, start + 1, line, start - starts[line - 1] + 1))
     return kinds, texts, ends
 
 
@@ -218,7 +218,7 @@ class TokenStream:
     def fail(self, *expected: str) -> NoReturn:
         kind = self.kind
         shown = kind if kind is EOF else f"{self.texts[self.pos]!r}"
-        raise ParseError.at(f"unexpected {shown}", self.span(self.pos), expected)
+        raise ParseError(f"unexpected {shown}", self.span(self.pos), expected)
 
     def span(self, first: int) -> Span:
         """Token first's span, with the line and column of its start."""

@@ -1,7 +1,7 @@
 """Recursive-descent parser for product specifications.
 
 parse() turns source text into a ProductSpec, raising ParseError (or a
-subclass) with a 1-based line/column and the expected token kinds on the
+subclass) with the span it blames and the expected token kinds on the
 first syntactic problem. Name resolution does not happen here: unknown
 property types are parsed as relationship targets and judged by the resolver.
 
@@ -100,7 +100,7 @@ class _Parser:
                 same_kind.append(decl)
             else:
                 if product is not None:
-                    raise MultipleProducts.at(
+                    raise MultipleProducts(
                         "specification declares more than one product", decl.span)
                 product = decl
 
@@ -138,7 +138,7 @@ class _Parser:
             for flag in (FLAG_IDENTIFIER, FLAG_DISPLAY_STRING):
                 carriers = [p for p in properties if flag in p.flags]
                 if len(carriers) > 1:
-                    raise DuplicateFlag.at(
+                    raise DuplicateFlag(
                         f"entity {name!r} flags more than one property {flag}",
                         carriers[1].span)
         return _new(EntityDecl, (name, properties, features, ts.span_from(start)))
@@ -152,7 +152,7 @@ class _Parser:
         if ts.kind == "RELATIONSHIP":
             rel_tok = ts.expect("RELATIONSHIP")
             if type_name in BUILTIN_TYPES:
-                raise ParseError.at(
+                raise ParseError(
                     f"RELATIONSHIP is not allowed on built-in type {type_name!r}",
                     ts.span(rel_tok))
             relationship = self.relationship_spec()
@@ -179,7 +179,7 @@ class _Parser:
             return Cardinality(low, None)
         high = self.cardinality_bound("cardinality bound", "*")
         if low > high:
-            raise ParseError.at(
+            raise ParseError(
                 f"cardinality {low}..{high} has its lower bound above its upper bound",
                 self.ts.span(start))
         return Cardinality(low, high)
@@ -192,7 +192,7 @@ class _Parser:
         try:
             return int(text)
         except ValueError:  # more digits than int() converts
-            raise ParseError.at("cardinality bound out of range", self.ts.span(tok)) from None
+            raise ParseError("cardinality bound out of range", self.ts.span(tok)) from None
 
     def layer_decl(self, start: int) -> LayerDecl:
         ts, texts = self.ts, self.texts
@@ -202,8 +202,8 @@ class _Parser:
         entity = texts[ts.expect_run("FOR", IDENT, "WITH", "STYLES") + 1]
         styles = ts.parenthesised(self.style_ref)
         if len(styles) > 1 and sum(s.is_default for s in styles) > 1:
-            raise DuplicateFlag.at(f"layer {name!r} marks more than one style DEFAULT",
-                                   ts.span(ts.pos - 1))
+            raise DuplicateFlag(f"layer {name!r} marks more than one style DEFAULT",
+                                ts.span(ts.pos - 1))
         ts.expect(";")
         return _new(LayerDecl, (name, display, entity, texts[first], styles,
                                 ts.span_from(start)))
@@ -225,12 +225,11 @@ class _Parser:
             if ts.kind == ",":
                 ts.expect_run(",", "WITH", "CENTER")
                 if center is not None:
-                    raise ParseError.at("map declares CENTER twice", ts.span(ts.pos - 1))
+                    raise ParseError("map declares CENTER twice", ts.span(ts.pos - 1))
                 center = BoundingBox(self.pair(lambda: self.pair(self.coordinate)))
             elif ts.kind == "WITH":
                 if features is not None:
-                    raise DuplicateFlag.at("map declares WITH FEATURES twice",
-                                          ts.span(ts.pos))
+                    raise DuplicateFlag("map declares WITH FEATURES twice", ts.span(ts.pos))
                 features = self.feature_clause()
             else:
                 break
@@ -238,9 +237,9 @@ class _Parser:
 
         base = [r for r in refs if FLAG_IS_BASE_LAYER in r.flags]
         if not base:
-            raise ParseError.at(f"map {name!r} flags no layer IS_BASE_LAYER", ts.span(close))
+            raise ParseError(f"map {name!r} flags no layer IS_BASE_LAYER", ts.span(close))
         if len(base) > 1:
-            raise ParseError.at(
+            raise ParseError(
                 f"map {name!r} flags more than one layer IS_BASE_LAYER", base[1].span)
         return _new(MapDecl, (name, display, refs, center, features, ts.span_from(start)))
 
@@ -250,7 +249,7 @@ class _Parser:
         name = self.texts[start]
         flags = self.flags(_LAYER_REF_FLAGS)
         if FLAG_DEFAULT_BASE_LAYER in flags and FLAG_IS_BASE_LAYER not in flags:
-            raise ParseError.at(
+            raise ParseError(
                 f"layer reference {name!r} is DEFAULT_BASE_LAYER but not IS_BASE_LAYER",
                 ts.span(start))
         features = self.feature_clause()
@@ -272,7 +271,7 @@ class _Parser:
         while ts.kind in allowed:
             flag = ts.kind
             if flag in flags:
-                raise DuplicateFlag.at(f"duplicate flag {flag}", ts.span(ts.pos))
+                raise DuplicateFlag(f"duplicate flag {flag}", ts.span(ts.pos))
             flags.append(flag)
             ts.expect(flag)
         return tuple(flags)
@@ -306,5 +305,5 @@ class _Parser:
         tok = self.ts.expect(NUMBER)
         value = float(self.texts[tok])
         if not isfinite(value):  # JSON has no Infinity to emit it as
-            raise ParseError.at("coordinate out of range", self.ts.span(tok))
+            raise ParseError("coordinate out of range", self.ts.span(tok))
         return value

@@ -325,7 +325,10 @@ class _Resolution:
         local models covering it, of its binding through the first or else
         each model's global default. A repeat (first is False) is not placed,
         nor is an element that cannot be; its clause is only checked. With
-        one covering model, the multimodel's own object is recorded as is."""
+        one covering model, the multimodel's own object is recorded as is.
+        With several, a bound element's configuration, restricted to each
+        model's features in turn, must be valid in that model: nested
+        models can put a default beside a binding that rules it out."""
         seeds = self.clause_seeds(slot, name, clause)
         viewpoint, metaclass, kinds, covering = slot
         if not first:
@@ -356,6 +359,17 @@ class _Resolution:
             config = default if config is None else config | default
         if config is not None:
             self.effective[element] = config
+        if len(covering) > 1 and element in self.clause_spans:
+            for local_model in covering:
+                local = self.definition.functional.locals[local_model]
+                report = validate_configuration(local, config & local.feature_names)
+                if not report.valid:
+                    detail = "; ".join(v.message for v in report.violations)
+                    self.report("invalid-selection",
+                                f"{_described(metaclass, name)} gets a configuration that is "
+                                f"invalid against local model {local_model!r}: {detail}",
+                                clause.span)
+                    break
 
     def clause_seeds(self, slot: tuple, name: str,
                      clause: FeatureClause | None) -> Configuration | None:

@@ -50,7 +50,7 @@ from .features import (
 from .lexer import DEFINITION_KEYWORDS, EOF, IDENT, TokenStream
 from .multimodel import AppliedToDeclaration, FunctionalModel
 from .records import LEADING_FIELDS
-from .syntax import Span
+from .syntax import _NO_SPAN, Span
 
 _INDENT = "    "
 # Deep enough for any hand-written model, shallow enough that the recursive
@@ -117,8 +117,8 @@ class _DefinitionParser:
                 local_lines.append(self.local_decl())
             elif self.ts.kind == "DEFAULTS":
                 if defaults is not None:
-                    raise ParseError.at("definition declares DEFAULTS twice",
-                                        self.ts.span(self.ts.pos))
+                    raise ParseError("definition declares DEFAULTS twice",
+                                     self.ts.span(self.ts.pos))
                 defaults, defaults_span = self.defaults_decl()
             else:
                 self.ts.fail("VIEWPOINT", "FEATUREMODEL", "LOCAL", "DEFAULTS")
@@ -127,19 +127,19 @@ class _DefinitionParser:
         applied: list[AppliedToDeclaration] = []
         for line, root, viewpoint, metaclass in local_lines:
             if texts[root] not in blocks:
-                raise ParseError.at(
+                raise ParseError(
                     f"LOCAL references undeclared feature model {texts[root]!r}",
                     self.ts.span(root))
             if texts[viewpoint] not in viewpoints:
-                raise ParseError.at(f"no viewpoint named {texts[viewpoint]!r}",
-                                    self.ts.span(viewpoint))
+                raise ParseError(f"no viewpoint named {texts[viewpoint]!r}",
+                                 self.ts.span(viewpoint))
             if texts[metaclass] not in viewpoints[texts[viewpoint]]:
-                raise ParseError.at(f"viewpoint {texts[viewpoint]!r} declares no metaclass "
-                                    f"{texts[metaclass]!r}", self.ts.span(metaclass))
+                raise ParseError(f"viewpoint {texts[viewpoint]!r} declares no metaclass "
+                                 f"{texts[metaclass]!r}", self.ts.span(metaclass))
             decl = AppliedToDeclaration(texts[root], texts[viewpoint], texts[metaclass], line)
             if decl in applied:
-                raise ParseError.at(f"duplicate LOCAL {decl.local_model} APPLIED TO "
-                                    f"{decl.viewpoint}.{decl.metaclass}", self.ts.span(root))
+                raise ParseError(f"duplicate LOCAL {decl.local_model} APPLIED TO "
+                                 f"{decl.viewpoint}.{decl.metaclass}", self.ts.span(root))
             applied.append(decl)
         local_names = {d.local_model for d in applied}
 
@@ -147,8 +147,8 @@ class _DefinitionParser:
         if len(global_names) != 1:
             shown = ", ".join(global_names) or "none"
             where = (self.ts.span(blocks[global_names[1]].head) if global_names
-                     else local_lines[0][0] if local_lines else Span(0, 0, 1, 1))
-            raise ParseError.at(
+                     else local_lines[0][0] if local_lines else _NO_SPAN)
+            raise ParseError(
                 "definition needs exactly one feature model not declared LOCAL "
                 f"(the global model); candidates: {shown}", where)
         global_name = global_names[0]
@@ -164,8 +164,8 @@ class _DefinitionParser:
         defaults = defaults or ()
         unknown = set(defaults) - global_model.feature_names
         if unknown:
-            raise ParseError.at("DEFAULTS names features missing from the global model: "
-                                + ", ".join(sorted(unknown)), defaults_span)
+            raise ParseError("DEFAULTS names features missing from the global model: "
+                             + ", ".join(sorted(unknown)), defaults_span)
 
         return SplDefinition(functional, viewpoints, tuple(applied), defaults,
                              source_name=filename, defaults_span=defaults_span)
@@ -193,14 +193,14 @@ class _DefinitionParser:
     def viewpoint_decl(self, viewpoints: dict[str, tuple[str, ...]]) -> None:
         name = self.ts.expect_run("VIEWPOINT", IDENT) + 1
         if self.texts[name] in viewpoints:
-            raise ParseError.at(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
+            raise ParseError(f"duplicate viewpoint {self.texts[name]!r}", self.ts.span(name))
         metaclasses: list[str] = []
 
         def metaclass() -> None:
             tok = self.ts.expect(IDENT)
             if self.texts[tok] in metaclasses:
-                raise ParseError.at(f"duplicate metaclass {self.texts[tok]!r}",
-                                    self.ts.span(tok))
+                raise ParseError(f"duplicate metaclass {self.texts[tok]!r}",
+                                 self.ts.span(tok))
             metaclasses.append(self.texts[tok])
 
         self.ts.parenthesised(metaclass)
@@ -211,8 +211,8 @@ class _DefinitionParser:
         block = _Block(self.ts.expect_run("FEATUREMODEL", IDENT))
         name = block.head + 1
         if self.texts[name] in blocks:
-            raise ParseError.at(f"duplicate feature model {self.texts[name]!r}",
-                                self.ts.span(name))
+            raise ParseError(f"duplicate feature model {self.texts[name]!r}",
+                             self.ts.span(name))
         block.names[self.texts[name]] = [name]
         group = self.group_marker()
         self.ts.expect("{")
@@ -247,8 +247,8 @@ class _DefinitionParser:
 
     def feature_node(self, block: _Block, depth: int) -> Feature:
         if depth > MAX_FEATURE_DEPTH:
-            raise ParseError.at(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
-                                self.ts.span(self.ts.pos))
+            raise ParseError(f"features nest deeper than {MAX_FEATURE_DEPTH} levels",
+                             self.ts.span(self.ts.pos))
         kind = MANDATORY if self.ts.kind == "MANDATORY" else OPTIONAL
         if self.ts.kind != IDENT:  # a group's children are bare
             self.ts.expect("MANDATORY", "OPTIONAL")

@@ -46,6 +46,7 @@ from localfeatures.syntax import (
     ProductSpec,
     PropertyDecl,
     RelationshipSpec,
+    Span,
     StyleRef,
 )
 
@@ -221,8 +222,7 @@ def reference_tokenize(source: str, keywords: frozenset[str]) -> list[tuple]:
                 pos += len(punct)
                 break
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, col,
-                             start=pos, end=pos + 1)
+            raise ParseError(f"unexpected character {ch!r}", Span(pos, pos + 1, line, col))
 
     tokens.append((EOF, "", line, n - line_start + 1, n, n))
     return tokens

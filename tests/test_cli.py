@@ -115,6 +115,40 @@ def test_check_cites_an_invalid_default_without_defaults_at_the_local_line(files
     assert out == "1 errors, 0 warnings\n"
 
 
+
+@pytest.mark.parametrize("locals_", [("Listing", "Layout"), ("Layout", "Listing")],
+                         ids=["Listing-first", "Layout-first"])
+def test_check_and_emit_refuse_nested_local_models_that_clash(files, capsys, monkeypatch,
+                                                               locals_):
+    """Book binds Grid through the first local model and takes List from the
+    other's default: two children of one xor group."""
+    monkeypatch.chdir(files)
+    spl = write(files, "shop.spl", (
+        "VIEWPOINT data (Entity);\n\n"
+        "FEATUREMODEL Shop {\n    OPTIONAL Listing {\n        MANDATORY Layout XOR {\n"
+        "            Grid\n            List\n        }\n    }\n}\n\n"
+        "FEATUREMODEL Listing {\n    MANDATORY Layout XOR {\n"
+        "        Grid\n        List\n    }\n}\n\n"
+        "FEATUREMODEL Layout XOR {\n    Grid\n    List\n}\n\n"
+        + "".join(f"LOCAL {name} APPLIED TO data.Entity;\n" for name in locals_)
+        + "DEFAULTS (List);\n"))
+    spec = write(files, "shop.gis", (
+        "CREATE ENTITY Book (id Long IDENTIFIER) WITH FEATURES (Grid);\n"
+        "CREATE GIS Bookshop;"))
+    rc = main(["check", spec, "--spl", spl])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == "1 errors, 0 warnings\n"
+    assert err == (f"{spec}:1:41: error[invalid-selection]: entity 'Book' gets a configuration "
+                   f"that is invalid against local model {locals_[0]!r}: xor group 'Layout' "
+                   "has 2 selected children, needs exactly 1\n")
+    rc = main(["emit", spec, "--spl", spl])
+    out, _ = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert not (files / "Bookshop.derivation.json").exists()
+    assert not list(files.glob(".emit-*"))
+
+
 def test_check_json_format(files, capsys):
     bad = write(files, "bad.gis",
                 "CREATE GIS X WITH FEATURES (Bogus, LeftMenu, TopMenu);")

@@ -11,6 +11,7 @@ import pytest
 
 from localfeatures import parse, parse_spl_definition
 from localfeatures.errors import LocalFeaturesError, ParseError
+from localfeatures.syntax import Span
 
 from conftest import FIXTURES, packaged
 from generators import random_definition_soup, random_token_soup
@@ -35,7 +36,10 @@ def raised(call, source):
 def check_offsets(error, source):
     """The offsets agree with the position, and slice out what the message
     blames: the unexpected token or character, nothing at end of input, and
-    whole tokens otherwise (or nothing, for an error that blames no token)."""
+    whole tokens otherwise (or nothing, for an error that blames no token).
+    The offsets and the position are those of the error's span."""
+    assert type(error.span) is Span
+    assert error.span == Span(error.start, error.end, error.line, error.column)
     assert 0 <= error.start <= error.end <= len(source)
     assert position(source, error.start) == (error.line, error.column)
     blamed = source[error.start:error.end]

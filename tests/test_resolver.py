@@ -24,6 +24,7 @@ from localfeatures.syntax import (
     ProductDecl,
     ProductSpec,
     PropertyDecl,
+    Span,
 )
 
 from generators import (
@@ -759,6 +760,59 @@ def test_a_feature_two_locals_share_keeps_the_bound_row():
     # B defaults to {B, C}, but A's binding gives both, so its rows are shown
     rows = {r.feature: (r.origin, r.span.line) for r in explain(resolved, "data.City")}
     assert rows == {"A": ("local", 1), "B": ("closure(parent)", 1), "C": ("local", 1)}
+
+
+
+# Local models Listing and Layout nest, and both cover data.Entity; the two
+# LOCAL lines go in either order.
+BOOKSHOP_DEFINITION = """\
+VIEWPOINT data (Entity);
+
+FEATUREMODEL Shop {{
+    OPTIONAL Listing {{
+        MANDATORY Layout XOR {{
+            Grid
+            List
+        }}
+    }}
+}}
+
+FEATUREMODEL Listing {{
+    MANDATORY Layout XOR {{
+        Grid
+        List
+    }}
+}}
+
+FEATUREMODEL Layout XOR {{
+    Grid
+    List
+}}
+
+LOCAL {}
+LOCAL {}
+DEFAULTS (List);
+"""
+BOOKSHOP_LOCALS = ("Listing APPLIED TO data.Entity;", "Layout APPLIED TO data.Entity;")
+BOOKSHOP_SPEC = "CREATE ENTITY Book (id Long IDENTIFIER) WITH FEATURES (Grid);\nCREATE GIS Bookshop;"
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["Listing-first", "Layout-first"])
+def test_a_binding_and_a_nested_default_that_clash_are_an_invalid_selection(first):
+    """Book binds Grid through the first covering model and takes the other
+    one's default, List: the union holds two children of xor group Layout,
+    which each covering model restricted to its own features must accept."""
+    lines = BOOKSHOP_LOCALS[first], BOOKSHOP_LOCALS[1 - first]
+    definition = parse_spl_definition(BOOKSHOP_DEFINITION.format(*lines), filename="shop.spl")
+    resolved = resolve_text(BOOKSHOP_SPEC, definition)
+    first_model = lines[0].split()[0]
+    assert resolved.diagnostics == (Diagnostic(
+        "error", "invalid-selection",
+        f"entity 'Book' gets a configuration that is invalid against local model "
+        f"{first_model!r}: xor group 'Layout' has 2 selected children, needs exactly 1",
+        Span(40, 60, 1, 41), "spec.gis"),)
+    assert resolved.diagnostics[0].span.slice(BOOKSHOP_SPEC) == "WITH FEATURES (Grid)"
+    assert resolved.effective["data.Book"] == {"Grid", "Layout", "List", "Listing"}
 
 
 # -- explain ----------------------------------------------------------------------
