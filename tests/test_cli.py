@@ -115,7 +115,6 @@ def test_check_cites_an_invalid_default_without_defaults_at_the_local_line(files
     assert out == "1 errors, 0 warnings\n"
 
 
-
 @pytest.mark.parametrize("locals_", [("Listing", "Layout"), ("Layout", "Listing")],
                          ids=["Listing-first", "Layout-first"])
 def test_check_and_emit_refuse_nested_local_models_that_clash(files, capsys, monkeypatch,
@@ -606,7 +605,6 @@ def test_a_closed_stdout_ends_enumerate_quietly(files, package_env):
     assert first == b"8832\n"
     assert err == b""
     assert proc.returncode == 141
-
 
 
 # -- determinism across processes ------------------------------------------------

@@ -762,7 +762,6 @@ def test_a_feature_two_locals_share_keeps_the_bound_row():
     assert rows == {"A": ("local", 1), "B": ("closure(parent)", 1), "C": ("local", 1)}
 
 
-
 # Local models Listing and Layout nest, and both cover data.Entity; the two
 # LOCAL lines go in either order.
 BOOKSHOP_DEFINITION = """\
