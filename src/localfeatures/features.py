@@ -9,7 +9,8 @@ one selected child, or groups at least one, and requires/excludes constraints
 hold. Features play no role when their parent is unselected.
 
 Each model's index, laid out once, serves lookups, closure and enumeration;
-validate_configuration reads only the tree. Enumeration composes subtree
+validate_configuration reads only the tree, and its child -> parent names,
+taken from the tree once per model. Enumeration composes subtree
 configuration lists bottom-up: a product over a feature's children, a union
 over an xor group's, each constraint filtering at its endpoints' lowest
 common ancestor. It composes integer masks over the model's rank layout
@@ -139,6 +140,12 @@ class FeatureModel(Record):
     def feature_names(self) -> frozenset[str]:
         return frozenset(self.index.position)
 
+    @cached_property
+    def parent_names(self) -> dict[str, str]:
+        """Each feature's name -> its parent's name, the root's absent: the
+        tree's edges, which validate_configuration reads."""
+        return {c.name: f.name for f in self.iter_features() for c in f.children}
+
     def iter_features(self) -> Iterator[Feature]:
         """Yield every feature in preorder."""
         return iter(self.index.features)
@@ -256,7 +263,7 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
             "selection names unknown features: " + ", ".join(sorted(unknown)))
 
     violations: list[RuleViolation] = []
-    parent_of = {c.name: f.name for f in fm.iter_features() for c in f.children}
+    parent_of = fm.parent_names
 
     if fm.root.name not in selected:
         violations.append(RuleViolation(

@@ -4,20 +4,25 @@ Keywords are case-sensitive uppercase words and each lexes as its own token
 kind; every other word matching [A-Za-z][A-Za-z0-9_]* is an IDENT. Numbers
 are optionally signed decimals. // starts a line comment.
 
-lex() reads the whole source in one pass of a compiled pattern: each match
-captures the skipped whitespace and comments, then one token (or a character
-no token starts with, or the empty end of input). The result is three flat
-sequences indexed by token: kind, text and end offset. No per-token object
-is built, and no line or column is counted while lexing: TokenStream turns
-an offset into a line and column only when the parser builds a Span or an
-error, by a bisect over the source's line starts. tokenize() is the same
-lexing and returns the kinds alone. A parser tests TokenStream.kind and
-moves only by reading: expect, match, expect_run, parenthesised and names,
-none of which moves past the EOF token.
+lex() reads the source in line-aligned pieces, each one pass of a compiled
+pattern: each match captures the skipped whitespace and comments, then one
+token (or a character no token starts with, or the empty end of input). A
+piece ends just after the first newline at or past a fixed size, so only a
+large source has more than one, and what one piece's split holds at once
+stays the same whatever the source's size. No token or comment holds a
+newline, so a piece boundary never cuts one; a skip cut in two is counted
+in both pieces. The result is three flat sequences indexed by token: kind,
+text and end offset. No per-token object is built, and no line or column
+is counted while lexing: TokenStream turns an offset into a line and column
+only when the parser builds a Span or an error, by a bisect over the
+source's line starts. tokenize() is the same lexing and returns the kinds
+alone. A parser tests TokenStream.kind and moves only by reading: expect,
+match, expect_run, parenthesised and names, none of which moves past the
+EOF token.
 
-Because the whole source is lexed before parsing starts, a bad character
-anywhere in it is the error reported, ahead of any syntax error the parser
-would have found before it.
+Because every piece of the source is lexed before parsing starts, a bad
+character anywhere in it is the error reported, ahead of any syntax error
+the parser would have found before it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,10 @@ _PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
 _BAD = "bad character"  # the kind lex() raises at; no token carries it
+# A piece of source ends just after its first newline at or past this many
+# characters: small enough that the split of one piece holds little memory,
+# large enough that the per-piece steps cost nothing measurable.
+_CHUNK = 1 << 16
 
 
 class _Kinds(dict):
@@ -92,16 +101,37 @@ def lex(source: str, keywords: frozenset[str]) -> tuple[tuple[str, ...], tuple[s
     """The kinds and texts of the tokens of source, ending with one EOF
     token, and their end offsets; raises ParseError at the first character
     no token starts with. A token starts at its end minus the length of its
-    text."""
-    parts = _TOKEN.split(source)  # before, skipped, token, before, skipped, token, ...
-    texts = parts[2::3]
-    last = texts.index("")  # the end of input; a trailing skip can match it twice
-    del texts[last + 1:]
-    # one str object per distinct text: x50 keeps 10 MB less alive while parsing
-    canonical: dict[str, str] = {}
-    texts = tuple(map(canonical.setdefault, texts, texts))
+    text.
+
+    Each piece of source is split on its own, and its tokens are appended
+    with their ends made absolute by starting the sum at the piece's offset;
+    only the last piece's end of input is kept, as EOF. A source shorter
+    than _CHUNK, or with no newline from there on, is one piece, sliced
+    whole without a copy."""
+    canonical: dict[str, str] = {}  # one str object per distinct text, shared while parsing
+    texts: list[str] = []
+    ends = array("q")
+    start, size = 0, len(source)
+    while True:
+        stop = source.find("\n", start + _CHUNK - 1) + 1 or size
+        # before, skipped, token, before, skipped, token, ...
+        parts = _TOKEN.split(source[start:stop])
+        piece = parts[2::3]
+        final = stop == size
+        # the piece's end, kept as EOF only at the source's end; a trailing
+        # skip can match it twice
+        last = piece.index("") + final
+        del piece[last:]
+        texts += map(canonical.setdefault, piece, piece)
+        offsets = list(accumulate(map(add, map(len, parts[1:3 * last:3]), map(len, piece)),
+                                  initial=start))
+        del offsets[0]  # the piece's start, not a token's end
+        ends.fromlist(offsets)
+        if final:
+            break
+        start = stop
+    texts = tuple(texts)
     kinds = tuple(map(_Kinds(keywords).__getitem__, texts))
-    ends = array("q", accumulate(map(add, map(len, parts[1:3 * last + 2:3]), map(len, texts))))
     if _BAD in kinds:
         start = ends[kinds.index(_BAD)] - 1
         starts = line_starts(source)

@@ -161,6 +161,8 @@ def test_model_lookup_helpers():
     assert fm.feature("Menu").group == XOR
     assert parents(fm)["FormAccess"] == "List"
     assert parents(fm)["GIS_SPL"] is None
+    assert fm.parent_names == {name: p for name, p in parents(fm).items() if p is not None}
+    assert fm.parent_names is fm.parent_names
     with pytest.raises(UnknownFeature):
         fm.feature("Nope")
 

@@ -1,18 +1,20 @@
-"""The regex lexer against the character-at-a-time reference tokenizer, and
-the error precedence both parsers keep: a bad character anywhere in the
-source is the error reported."""
+"""The regex lexer against the character-at-a-time reference tokenizer, at
+its own piece size and at tiny ones, and the error precedence both parsers
+keep: a bad character anywhere in the source is the error reported."""
 
 import random
+import tracemalloc
 
 import pytest
 
-from localfeatures import parse, parse_spl_definition
+from localfeatures import lexer, parse, parse_spl_definition
 from localfeatures.errors import ParseError
 from localfeatures.lexer import (
     DEFINITION_KEYWORDS,
     EOF,
     SPEC_KEYWORDS,
     TokenStream,
+    lex,
     tokenize,
 )
 
@@ -29,6 +31,23 @@ ALPHABET = 'aZ_09 \t\r\n-./*()[]{},;"é\x0b'
 # Without the characters that can make the lexer fail, so that about half the
 # random sources lex cleanly and are compared token by token.
 TAME = ALPHABET.translate({ord(c): None for c in '"é\x0b/_-'})
+# Piece sizes small enough that the sources above are cut into many pieces.
+PIECES = pytest.mark.parametrize("chunk", [1, 5, 64], ids=lambda chunk: f"chunk{chunk}")
+# Sources around a cut when a piece is 8 characters: each comment says where
+# its pieces end.
+BOUNDARIES = {
+    "cut at the final newline": "abc def\n",  # one piece, ending at the source's end
+    "whitespace after the final cut": "abc def\n \t",  # "abc def\n" | " \t"
+    "a line longer than a piece":  # "CREATE ... (List);\n" | "x"
+        "CREATE ENTITY E1 (id Long) WITH FEATURES (List);\nx",
+    "CRLF at a cut": "abcdef\r\nxy\r\nz",  # "abcdef\r\n" | "xy\r\nz"
+    "CRLF across the nominal cut": "abcdefg\r\nx",  # "abcdefg\r\n" | "x"
+    "a comment across the nominal cut":  # "ab // comment\n" | "x // y\n\n" | "  -1.5"
+        "ab // comment\nx // y\n\n  -1.5",
+    "a skip across two cuts": "a      \n       \n   b",  # "a      \n" | "       \n" | "   b"
+    "a bad character in a later piece": "abcdefg\nx y z w\n  @ z",  # ... | "  @ z"
+    "the empty source": "",  # one empty piece
+}
 
 
 def fields(error):
@@ -76,8 +95,9 @@ SOURCES = pytest.mark.parametrize("source", [
     packaged("webeiel.gis"),
     (FIXTURES / "ecommerce.spl").read_text(),
     scale_spec_text(),
+    scale_spec_text(3),  # over lexer._CHUNK, so two pieces at the default size
     *EDGE_CASES,
-], ids=["gis.spl", "webeiel.gis", "ecommerce.spl", "scale", *map(repr, EDGE_CASES)])
+], ids=["gis.spl", "webeiel.gis", "ecommerce.spl", "scale", "scale x3", *map(repr, EDGE_CASES)])
 
 
 @KEYWORD_SETS
@@ -110,6 +130,50 @@ def test_random_strings_lex_as_the_reference_does(keywords):
     for source in sources:
         expected = outcome(reference_tokenize, source, keywords)
         assert outcome(streamed, source, keywords) == expected, repr(source)
+
+
+@PIECES
+@KEYWORD_SETS
+@SOURCES
+def test_pieces_lex_as_the_reference(source, keywords, chunk, monkeypatch):
+    monkeypatch.setattr(lexer, "_CHUNK", chunk)
+    test_tokens_match_the_reference(source, keywords)
+    test_tokenize_is_the_lexing_a_parse_walks(source, keywords)
+
+
+@PIECES
+@KEYWORD_SETS
+def test_random_strings_in_pieces_lex_as_the_reference(keywords, chunk, monkeypatch):
+    monkeypatch.setattr(lexer, "_CHUNK", chunk)
+    test_random_strings_lex_as_the_reference_does(keywords)
+
+
+@KEYWORD_SETS
+@pytest.mark.parametrize("source", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_a_cut_changes_no_token(source, keywords, monkeypatch):
+    """Cut into pieces of 8 characters, a source lexes as the reference
+    does and to the same kinds, texts and ends as in one piece."""
+    whole = outcome(lex, source, keywords)
+    monkeypatch.setattr(lexer, "_CHUNK", 8)
+    assert outcome(lex, source, keywords) == whole
+    assert outcome(streamed, source, keywords) == outcome(reference_tokenize, source, keywords)
+
+
+@pytest.mark.parametrize("copies", [4, 16])
+def test_lexing_holds_a_bounded_amount_beyond_its_result(copies):
+    """Lexing splits one piece at a time, so its peak beyond the tokens it
+    returns stays under one bound at both sizes; splitting the whole x16
+    source at once held about 7 MB more than it returned."""
+    source = scale_spec_text(copies)
+    assert len(source) > 2 * lexer._CHUNK
+    tracemalloc.start()
+    try:
+        tokens = lex(source, SPEC_KEYWORDS)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tokens[0][-1] == EOF
+    assert peak - returned < 4 * 2**20
 
 
 def test_edge_case_tokens():
@@ -169,6 +233,12 @@ def test_a_bad_character_at_the_end_of_a_large_source_wins():
     assert fields(exc.value) == ("unexpected character '@'", source.count("\n") + 1,
                                  offset - source.rfind("\n"), offset, offset + 1, ())
     assert exc.value.__context__ is None
+
+
+@PIECES
+def test_a_bad_character_at_the_end_of_a_large_source_in_pieces_wins(chunk, monkeypatch):
+    monkeypatch.setattr(lexer, "_CHUNK", chunk)
+    test_a_bad_character_at_the_end_of_a_large_source_wins()
 
 
 @pytest.mark.parametrize("name, call, keywords", [
