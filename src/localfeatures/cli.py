@@ -201,13 +201,14 @@ def _load_definition(text: str, path: str, fmt: str) -> SplDefinition:
 
 
 def _read_inputs(*paths: str) -> list[str]:
-    """The text of each UTF-8 file. A file that cannot be read is an
-    OSError, which main reports; one that cannot be decoded is a usage error."""
+    """The text of each UTF-8 file, less one leading byte-order mark. A file
+    that cannot be read is an OSError, which main reports; one that cannot be
+    decoded is a usage error, at the byte's offset in the file."""
     texts = []
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                texts.append(handle.read())
+                texts.append(handle.read().removeprefix("\ufeff"))
         except UnicodeDecodeError as exc:
             _usage_error(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     return texts

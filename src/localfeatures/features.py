@@ -8,12 +8,12 @@ mandatory children of selected features are selected, xor groups have exactly
 one selected child, or groups at least one, and requires/excludes constraints
 hold. Features play no role when their parent is unselected.
 
-Each model's index, laid out once, serves lookups, closure and enumeration;
-validate_configuration reads only the tree, and its child -> parent names,
-taken from the tree once per model. Enumeration composes subtree
-configuration lists bottom-up: a product over a feature's children, a union
-over an xor group's, each constraint filtering at its endpoints' lowest
-common ancestor. It composes integer masks over the model's rank layout
+Each model lays its tree out in preorder once, when it is built, and
+lookups, validation, closure, enumeration and the multimodel's twin check
+all read that one layout. Enumeration composes subtree configuration lists
+bottom-up: a product over a feature's children, a union over an xor
+group's, each constraint filtering at its endpoints' lowest common
+ancestor. It composes integer masks over the model's rank layout
 (the names in sorted order, rank r at bit n-1-r), sorts them by an integer
 key equal to sorting the configurations by their sorted names, and builds
 each result's frozenset once, at the end. Closure runs in passes from what
@@ -93,73 +93,67 @@ class FeatureModel(Record):
     """A validated feature tree plus cross-tree constraints.
 
     Instances come from build_feature_model, which enforces the structural
-    invariants; index lays the tree out in preorder once, on first use.
+    invariants. The constructor lays the tree out in preorder: features[i]
+    is the feature at position i and position maps each name back to i;
+    parent[i] is the position of its parent, -1 for the root; and
+    features[i:end[i]] is its subtree. feature_names holds position's keys.
+    These are plain attributes, not fields: equality, hash and repr read
+    root, constraints and name only.
     """
 
     root: Feature
     constraints: tuple[CrossTreeConstraint, ...]
     name: str
+    features: tuple[Feature, ...]
+    position: dict[str, int]
+    parent: tuple[int, ...]
+    end: tuple[int, ...]
+    feature_names: frozenset[str]
     _fields = ("root", "constraints", "name")
     _compared = 3
 
     def __init__(self, root: Feature,
                  constraints: tuple[CrossTreeConstraint, ...] = (), name: str = ""):
-        vars(self).update(root=root, constraints=constraints, name=name)
-
-    @cached_property
-    def index(self) -> FeatureIndex:
         features: list[Feature] = []
         parent: list[int] = []
-        stack: list[tuple[Feature, int]] = [(self.root, -1)]
+        stack: list[tuple[Feature, int]] = [(root, -1)]
         while stack:
             f, p = stack.pop()
             stack.extend((c, len(features)) for c in reversed(f.children))
             features.append(f)
             parent.append(p)
         position = {f.name: i for i, f in enumerate(features)}
-        n = len(features)
-        end = list(range(1, n + 1))
-        for i in range(n - 1, 0, -1):
+        end = list(range(1, len(features) + 1))
+        for i in range(len(features) - 1, 0, -1):
             end[parent[i]] = max(end[parent[i]], end[i])
-        requires = tuple((ct.lhs, ct.rhs) for ct in self.constraints if ct.kind == REQUIRES)
-        return FeatureIndex(tuple(features), position, tuple(parent), tuple(end), requires)
+        vars(self).update(root=root, constraints=constraints, name=name,
+                          features=tuple(features), position=position, parent=tuple(parent),
+                          end=tuple(end), feature_names=frozenset(position))
 
     @cached_property
     def rank_layout(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
         """The names in sorted order, and each feature's bit in a
         configuration mask, by preorder position. Rank r is bit n-1-r, so a
         mask's binary digits, padded to n, read the ranked names in order.
-        Only enumeration reads it, so it is laid out on first enumeration,
-        apart from the index that closure and lookups read."""
-        index = self.index
-        ranked = tuple(sorted(index.position))
+        Only enumeration reads it, so it is laid out on first enumeration."""
+        ranked = tuple(sorted(self.position))
         bit_of = {name: 1 << r for r, name in enumerate(reversed(ranked))}
-        return ranked, tuple(bit_of[f.name] for f in index.features)
-
-    @cached_property
-    def feature_names(self) -> frozenset[str]:
-        return frozenset(self.index.position)
-
-    @cached_property
-    def parent_names(self) -> dict[str, str]:
-        """Each feature's name -> its parent's name, the root's absent: the
-        tree's edges, which validate_configuration reads."""
-        return {c.name: f.name for f in self.iter_features() for c in f.children}
+        return ranked, tuple(bit_of[f.name] for f in self.features)
 
     def iter_features(self) -> Iterator[Feature]:
         """Yield every feature in preorder."""
-        return iter(self.index.features)
+        return iter(self.features)
 
     def feature(self, name: str) -> Feature:
         try:
-            return self.index.features[self.index.position[name]]
+            return self.features[self.position[name]]
         except KeyError:
             raise UnknownFeature(
                 f"model {self.name or self.root.name!r} has no feature {name!r}"
             ) from None
 
     def __contains__(self, name: object) -> bool:
-        return name in self.index.position
+        return name in self.position
 
 
 def build_feature_model(root: Feature,
@@ -218,20 +212,6 @@ def _normalize(f: Feature, *, is_root: bool = False, in_group: bool = False) -> 
     return Feature(f.name, kind, f.group, f.abstract, children)
 
 
-class FeatureIndex(NamedTuple):
-    """A feature model's tree facts, by preorder position.
-
-    A feature's subtree occupies positions [i, end[i]), and requires holds
-    the requires constraints as (lhs, rhs) names in declaration order.
-    """
-
-    features: tuple[Feature, ...]
-    position: dict[str, int]
-    parent: tuple[int, ...]
-    end: tuple[int, ...]
-    requires: tuple[tuple[str, str], ...]
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -263,7 +243,7 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
             "selection names unknown features: " + ", ".join(sorted(unknown)))
 
     violations: list[RuleViolation] = []
-    parent_of = fm.parent_names
+    features, position, parent = fm.features, fm.position, fm.parent
 
     if fm.root.name not in selected:
         violations.append(RuleViolation(
@@ -271,13 +251,13 @@ def validate_configuration(fm: FeatureModel, selected: Configuration | set[str])
             f"root feature {fm.root.name!r} is not selected"))
 
     for name in sorted(selected):
-        parent = parent_of.get(name)
-        if parent is not None and parent not in selected:
+        p = parent[position[name]]
+        if p >= 0 and features[p].name not in selected:
             violations.append(RuleViolation(
-                "parent-missing", (name, parent),
-                f"{name!r} is selected but its parent {parent!r} is not"))
+                "parent-missing", (name, features[p].name),
+                f"{name!r} is selected but its parent {features[p].name!r} is not"))
 
-    for f in fm.iter_features():
+    for f in features:
         if f.name not in selected:
             continue
         if f.group is None:
@@ -340,7 +320,7 @@ def enumerate_configurations(fm: FeatureModel, max_features: int = 20) -> list[C
     the values that the two halves of a mask can take, each distinct half
     is decoded once and the halves united.
     """
-    features, position, parent, end, _ = fm.index
+    features, position, parent, end = fm.features, fm.position, fm.parent, fm.end
     ranked, bit = fm.rank_layout
     if len(features) > max_features:
         raise ModelTooLarge(
@@ -452,8 +432,7 @@ def close_selection_traced(
         raise UnknownFeature(
             "seed names unknown features: " + ", ".join(sorted(unknown)))
 
-    index = fm.index
-    features, position, parent = index.features, index.position, index.parent
+    features, position, parent = fm.features, fm.position, fm.parent
     steps: dict[str, ClosureStep] = {}
     for s in sorted(seeds):
         steps[s] = ClosureStep("seed")
@@ -475,8 +454,8 @@ def close_selection_traced(
                     if c.kind == MANDATORY and c.name not in steps:
                         steps[c.name] = ClosureStep("mandatory", name)
                         queue.append(c.name)
-        for lhs, rhs in index.requires:
-            if lhs in steps and rhs not in steps:
+        for kind, lhs, rhs in fm.constraints:
+            if kind == REQUIRES and lhs in steps and rhs not in steps:
                 steps[rhs] = ClosureStep("requires", lhs)
                 queue.append(rhs)
         added = queue[len(added):]

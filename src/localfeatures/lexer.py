@@ -72,6 +72,7 @@ _PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _DIGITS = frozenset("0123456789")
 _BAD = "bad character"  # the kind lex() raises at; no token carries it
+_NEWLINE = re.compile("\n")
 # A piece of source ends just after its first newline at or past this many
 # characters: small enough that the split of one piece holds little memory,
 # large enough that the per-piece steps cost nothing measurable.
@@ -142,8 +143,11 @@ def lex(source: str, keywords: frozenset[str]) -> tuple[tuple[str, ...], tuple[s
 
 
 def line_starts(source: str) -> list[int]:
-    """The offset at which each line of source starts."""
-    return list(accumulate(map((1).__add__, map(len, source.split("\n")[:-1])), initial=0))
+    """The offset at which each line of source starts: 0, then just past
+    each newline. Only the offsets are built, never the lines."""
+    starts = [0]
+    starts += map(re.Match.end, _NEWLINE.finditer(source))
+    return starts
 
 
 def tokenize(source: str, keywords: frozenset[str]) -> tuple[str, ...]:

@@ -40,7 +40,6 @@ from .errors import (
 from .features import (
     ClosureStep,
     Configuration,
-    Feature,
     FeatureModel,
     close_selection,
     close_selection_traced,
@@ -142,8 +141,34 @@ class FunctionalModel(Record):
 
 
 def _check_twin(global_model: FeatureModel, local: FeatureModel) -> None:
-    copy_root = global_model.feature(local.root.name)
-    _check_subtree(copy_root, local.root, local.name, is_root=True)
+    """Raise TwinMismatch unless local's copy in global_model repeats it. The two
+    preorders stay aligned up to the first feature whose children differ."""
+    model = local.name
+    start = global_model.position[local.root.name]
+    copies = global_model.features[start:global_model.end[start]]
+    for i, (copy, f) in enumerate(zip(copies, local.features)):
+        if copy.name != f.name:
+            raise TwinMismatch(
+                f"local model {model!r}: global copy has {copy.name!r} where local has {f.name!r}",
+                model)
+        if i and copy.kind != f.kind:
+            raise TwinMismatch(
+                f"local model {model!r}: feature {f.name!r} is {f.kind} locally "
+                f"but {copy.kind} in the global copy", model)
+        if copy.group != f.group:
+            raise TwinMismatch(
+                f"local model {model!r}: feature {f.name!r} has group {f.group!r} locally "
+                f"but {copy.group!r} in the global copy", model)
+        if len(copy.children) != len(f.children):
+            copy_only = sorted({c.name for c in copy.children} - {c.name for c in f.children})
+            local_only = sorted({c.name for c in f.children} - {c.name for c in copy.children})
+            detail = "; ".join(
+                part for part in (
+                    f"only in global copy: {', '.join(copy_only)}" if copy_only else "",
+                    f"only in local model: {', '.join(local_only)}" if local_only else "",
+                ) if part)
+            raise TwinMismatch(
+                f"local model {model!r}: children of {f.name!r} differ ({detail})", model)
 
     names = local.feature_names  # the copy's subtree, now that the trees match
     global_cts = {(c.kind, c.lhs, c.rhs)
@@ -154,35 +179,8 @@ def _check_twin(global_model: FeatureModel, local: FeatureModel) -> None:
         diff = global_cts ^ local_cts
         shown = ", ".join(f"{k} {a} {b}" for k, a, b in sorted(diff))
         raise TwinMismatch(
-            f"local model {local.name!r} and its global copy disagree on constraints: {shown}",
-            local.name)
-
-
-def _check_subtree(copy: Feature, local: Feature, model: str, *, is_root: bool = False) -> None:
-    if copy.name != local.name:
-        raise TwinMismatch(
-            f"local model {model!r}: global copy has {copy.name!r} where local has {local.name!r}",
+            f"local model {model!r} and its global copy disagree on constraints: {shown}",
             model)
-    if not is_root and copy.kind != local.kind:
-        raise TwinMismatch(
-            f"local model {model!r}: feature {local.name!r} is {local.kind} locally "
-            f"but {copy.kind} in the global copy", model)
-    if copy.group != local.group:
-        raise TwinMismatch(
-            f"local model {model!r}: feature {local.name!r} has group {local.group!r} locally "
-            f"but {copy.group!r} in the global copy", model)
-    if len(copy.children) != len(local.children):
-        copy_only = sorted({c.name for c in copy.children} - {c.name for c in local.children})
-        local_only = sorted({c.name for c in local.children} - {c.name for c in copy.children})
-        detail = "; ".join(
-            part for part in (
-                f"only in global copy: {', '.join(copy_only)}" if copy_only else "",
-                f"only in local model: {', '.join(local_only)}" if local_only else "",
-            ) if part)
-        raise TwinMismatch(
-            f"local model {model!r}: children of {local.name!r} differ ({detail})", model)
-    for cc, lc in zip(copy.children, local.children):
-        _check_subtree(cc, lc, model)
 
 
 class Multimodel:

@@ -53,9 +53,9 @@ from .records import LEADING_FIELDS
 from .syntax import _NO_SPAN, Span
 
 _INDENT = "    "
-# Deep enough for any hand-written model, shallow enough that the recursive
-# parser, build_feature_model, enumerate_configurations and format_spl all
-# stay within Python's stack.
+# Deep enough for any hand-written model, shallow enough that the code that
+# recurses over a tree, the definition parser, build_feature_model's
+# _normalize and format_spl, stays within Python's stack.
 MAX_FEATURE_DEPTH = 200
 
 

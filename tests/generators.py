@@ -13,7 +13,7 @@ import random
 from typing import Callable
 
 from localfeatures.emitter import SCHEMA_VERSION
-from localfeatures.errors import ParseError
+from localfeatures.errors import ParseError, TwinMismatch
 from localfeatures.features import (
     EXCLUDES,
     MANDATORY,
@@ -159,6 +159,112 @@ def reference_close_selection_traced(
                 changed = True
 
     return frozenset(steps), steps
+
+
+def reference_check_subtree(copy: Feature, local: Feature, model: str, *,
+                            is_root: bool = False) -> None:
+    """The twin check's tree half by recursion: each pair of features is
+    compared, then their children pair by pair, so the first difference
+    raised is the first in preorder. The slow oracle for the single
+    preorder pass that FunctionalModel runs, which must raise the same
+    TwinMismatch message."""
+    if copy.name != local.name:
+        raise TwinMismatch(
+            f"local model {model!r}: global copy has {copy.name!r} where local has {local.name!r}",
+            model)
+    if not is_root and copy.kind != local.kind:
+        raise TwinMismatch(
+            f"local model {model!r}: feature {local.name!r} is {local.kind} locally "
+            f"but {copy.kind} in the global copy", model)
+    if copy.group != local.group:
+        raise TwinMismatch(
+            f"local model {model!r}: feature {local.name!r} has group {local.group!r} locally "
+            f"but {copy.group!r} in the global copy", model)
+    if len(copy.children) != len(local.children):
+        copy_only = sorted({c.name for c in copy.children} - {c.name for c in local.children})
+        local_only = sorted({c.name for c in local.children} - {c.name for c in copy.children})
+        detail = "; ".join(
+            part for part in (
+                f"only in global copy: {', '.join(copy_only)}" if copy_only else "",
+                f"only in local model: {', '.join(local_only)}" if local_only else "",
+            ) if part)
+        raise TwinMismatch(
+            f"local model {model!r}: children of {local.name!r} differ ({detail})", model)
+    for cc, lc in zip(copy.children, local.children):
+        reference_check_subtree(cc, lc, model)
+
+
+def _paths(f: Feature, path: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The child-index path of every feature of f's tree, in preorder."""
+    return [path] + [p for i, c in enumerate(f.children) for p in _paths(c, path + (i,))]
+
+
+def _at(f: Feature, path: tuple[int, ...]) -> Feature:
+    for i in path:
+        f = f.children[i]
+    return f
+
+
+def _edit(f: Feature, path: tuple[int, ...], change: Callable[[Feature], Feature]) -> Feature:
+    """f's tree with the feature at path replaced by change(feature)."""
+    if not path:
+        return change(f)
+    i = path[0]
+    children = f.children[:i] + (_edit(f.children[i], path[1:], change),) + f.children[i + 1:]
+    return f._replace(children=children)
+
+
+def _with_children(children: tuple[Feature, ...]) -> Callable[[Feature], Feature]:
+    return lambda f: f._replace(children=children)
+
+
+def twin_mutants(root: Feature) -> list[tuple[str, Feature]]:
+    """Copies of a local model's tree that differ from it in one place, or
+    in two places of which the first, in preorder, changes the size of a
+    subtree ahead of a sibling subtree holding the second: a child renamed,
+    dropped, added or reordered at any depth, a kind or a group flipped.
+    Each comes with a description of the change. Some copies do not build
+    (a group left with one child), and some equal the tree after
+    build_feature_model normalizes them (a kind flipped under a group)."""
+    mutants: list[tuple[str, Feature]] = []
+    fresh = Feature("Extra")
+    for path in _paths(root):
+        f = _at(root, path)
+        kids = f.children
+        for i in range(len(kids) + 1):
+            mutants.append((f"add a child to {f.name} at {i}",
+                            _edit(root, path, _with_children(kids[:i] + (fresh,) + kids[i:]))))
+        for i in range(len(kids) - 1):
+            swapped = kids[:i] + (kids[i + 1], kids[i]) + kids[i + 2:]
+            mutants.append((f"swap children {i} and {i + 1} of {f.name}",
+                            _edit(root, path, _with_children(swapped))))
+        for group in {None, XOR, OR} - {f.group}:
+            mutants.append((f"make {f.name}'s group {group}",
+                            _edit(root, path, lambda f, group=group: f._replace(group=group))))
+        if not path:
+            continue
+        mutants.append((f"rename {f.name}",
+                        _edit(root, path, lambda f: f._replace(name=f.name + "Renamed"))))
+        kind = OPTIONAL if f.kind == MANDATORY else MANDATORY
+        mutants.append((f"make {f.name} {kind}", _edit(root, path, lambda f: f._replace(kind=kind))))
+        parent, i = path[:-1], path[-1]
+        siblings = _at(root, parent).children
+        mutants.append((f"drop {f.name}",
+                        _edit(root, parent, _with_children(siblings[:i] + siblings[i + 1:]))))
+        # a subtree ahead of this one made larger or smaller, then this
+        # feature changed: both checks must stop at the earlier difference
+        for earlier in range(i):
+            first = parent + (earlier,)
+            for inner in _paths(siblings[earlier], first):
+                grown = _edit(root, inner, lambda g: g._replace(children=g.children + (fresh,)))
+                mutants.append((f"grow the subtree at {inner}, then rename {f.name}",
+                                _edit(grown, path, lambda f: f._replace(name=f.name + "Renamed"))))
+                if len(inner) > len(first):
+                    pruned = _edit(root, inner[:-1], lambda g, j=inner[-1]:
+                                   g._replace(children=g.children[:j] + g.children[j + 1:]))
+                    mutants.append((f"prune the subtree at {inner}, then make {f.name} {kind}",
+                                    _edit(pruned, path, lambda f: f._replace(kind=kind))))
+    return mutants
 
 
 _PUNCT = ("..", "(", ")", "[", "]", "{", "}", ",", ";", ".", "*")

@@ -592,6 +592,52 @@ def test_non_utf8_input_is_a_one_line_usage_error(files, capsys, command, bad):
     assert not (files / "out.json").exists()
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("spec, spl, argv", [
+    (None, None, ["check"]),
+    (None, None, ["emit", "--out", "{dir}/out.json"]),
+    (None, None, ["explain", "data.Hotel"]),
+    (None, None, ["features"]),
+    (None, None, ["enumerate", "--model", "EntityFeature"]),
+    ("CREATE GIS X WITH FEATURES (Bogus);", None, ["check"]),
+    ("CREATE FOO;", None, ["check", "--format", "json"]),
+    (None, "FEATUREMODEL R { OPTIONAL R }", ["check"]),
+], ids=["check", "emit", "explain", "features", "enumerate",
+        "spec-error", "spec-syntax-error", "definition-error"])
+def test_a_leading_byte_order_mark_changes_nothing(files, capsys, spec, spl, argv):
+    """Each input with a UTF-8 byte-order mark in front gives the exit code,
+    output, diagnostic positions and emitted bytes of the input without it,
+    line 1's columns included."""
+    def run(directory, prefix):
+        directory.mkdir()
+        texts = {"in.gis": spec or (files / "webeiel.gis").read_text(encoding="utf-8"),
+                 "in.spl": spl or (files / "gis.spl").read_text(encoding="utf-8")}
+        for name, text in texts.items():
+            (directory / name).write_bytes(prefix + text.encode())
+        paths = [str(directory / "in.gis")] if argv[0] != "enumerate" else []
+        command = [argv[0], *paths, *(a.format(dir=directory) for a in argv[1:]),
+                   "--spl", str(directory / "in.spl")]
+        rc = main(command)
+        out, err = capsys.readouterr()
+        emitted = (directory / "out.json").read_bytes() if argv[0] == "emit" else None
+        return rc, out.replace(str(directory), "DIR"), err.replace(str(directory), "DIR"), emitted
+
+    plain = run(files / "plain", b"")
+    assert run(files / "bom", BOM) == plain
+    assert plain[0] == (0 if spec is spl is None else 1)
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_offset_in_the_file(files, capsys):
+    broken = files / "broken.gis"
+    broken.write_bytes(BOM + NOT_UTF8)
+    assert main(["check", str(broken), "--spl", str(files / "gis.spl")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {broken}: not UTF-8 text (byte 11: invalid start byte)\n"
+
+
 def test_a_closed_stdout_ends_enumerate_quietly(files, package_env):
     # GIS_SPL's listing is far larger than a pipe buffer, so the writer is
     # still printing when the reader goes away after the first line

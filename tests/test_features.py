@@ -161,8 +161,9 @@ def test_model_lookup_helpers():
     assert fm.feature("Menu").group == XOR
     assert parents(fm)["FormAccess"] == "List"
     assert parents(fm)["GIS_SPL"] is None
-    assert fm.parent_names == {name: p for name, p in parents(fm).items() if p is not None}
-    assert fm.parent_names is fm.parent_names
+    assert {f.name: fm.features[p].name if p >= 0 else None
+            for f, p in zip(fm.features, fm.parent)} == parents(fm)
+    assert fm.features[fm.position["Menu"]] is fm.feature("Menu")
     with pytest.raises(UnknownFeature):
         fm.feature("Nope")
 
@@ -276,6 +277,33 @@ def test_enumeration_matches_the_brute_force_on_random_models(seed):
 def all_models(definition):
     functional = definition.functional
     return [functional.global_model, *functional.locals.values()]
+
+
+def preorder(f):
+    """f and its descendants, by recursion: the layout's reference."""
+    return [f] + [d for c in f.children for d in preorder(c)]
+
+
+def assert_laid_out(fm):
+    features = preorder(fm.root)
+    assert list(fm.features) == features
+    assert fm.position == {f.name: i for i, f in enumerate(features)}
+    assert len(fm.position) == len(features)
+    listed_by = {c.name: fm.position[f.name] for f in features for c in f.children}
+    assert list(fm.parent) == [listed_by.get(f.name, -1) for f in features]
+    for i, f in enumerate(features):
+        assert list(fm.features[i:fm.end[i]]) == preorder(f)
+    assert fm.feature_names == frozenset(fm.position)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_layout_is_the_trees_preorder_on_random_models(seed):
+    assert_laid_out(random_feature_model(random.Random(29000 + seed), max_features=16))
+
+
+def test_the_layout_is_the_trees_preorder_on_the_packaged_models(gis_definition):
+    for fm in all_models(gis_definition):
+        assert_laid_out(fm)
 
 
 def test_enumeration_matches_the_brute_force_on_the_packaged_models(gis_definition):

@@ -4,6 +4,7 @@ keep: a bad character anywhere in the source is the error reported."""
 
 import random
 import tracemalloc
+from itertools import accumulate
 
 import pytest
 
@@ -15,6 +16,7 @@ from localfeatures.lexer import (
     SPEC_KEYWORDS,
     TokenStream,
     lex,
+    line_starts,
     tokenize,
 )
 
@@ -174,6 +176,31 @@ def test_lexing_holds_a_bounded_amount_beyond_its_result(copies):
         tracemalloc.stop()
     assert tokens[0][-1] == EOF
     assert peak - returned < 4 * 2**20
+
+
+def split_line_starts(source):
+    """The line starts read off the source split into lines: the reference."""
+    return list(accumulate(map((1).__add__, map(len, source.split("\n")[:-1])), initial=0))
+
+
+@SOURCES
+def test_line_starts_match_splitting_into_lines(source):
+    assert line_starts(source) == split_line_starts(source)
+    assert line_starts(source + "\n") == split_line_starts(source + "\n")
+
+
+def test_line_starts_hold_a_bounded_amount_beyond_their_result():
+    """Only the offsets are built; splitting the x16 source into lines held
+    about 1.3 MB more than the offsets it returned."""
+    source = scale_spec_text(16)
+    tracemalloc.start()
+    try:
+        starts = line_starts(source)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(starts) == source.count("\n") + 1
+    assert peak - returned < 2**18
 
 
 def test_edge_case_tokens():

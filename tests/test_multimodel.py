@@ -1,5 +1,7 @@
 """Local feature models bound to elements of other system models."""
 
+import random
+
 import pytest
 
 from localfeatures import (
@@ -15,6 +17,7 @@ from localfeatures import (
 from localfeatures.errors import (
     DuplicateBinding,
     EntityNameMismatch,
+    FeatureModelError,
     InvalidSelection,
     KindMismatch,
     MultimodelError,
@@ -28,6 +31,8 @@ from localfeatures.errors import (
 from localfeatures.features import XOR
 from localfeatures.multimodel import ModelEntity, ViewpointModel
 from localfeatures.spldef import parse_spl_definition
+
+from generators import random_feature_model, reference_check_subtree, twin_mutants
 
 
 def local_twin(tree, constraints=()):
@@ -130,6 +135,59 @@ def test_local_registered_under_wrong_name_rejected():
     twin = local_twin(mandatory("Widget"))
     with pytest.raises(TwinMismatch, match="registered"):
         FunctionalModel(g, {"Other": twin})
+
+
+def twin_message(check):
+    """The TwinMismatch message check() raises, or None if it raises none."""
+    try:
+        check()
+    except TwinMismatch as exc:
+        return str(exc)
+    return None
+
+
+def tree_names(f):
+    return {f.name}.union(*map(tree_names, f.children))
+
+
+def assert_twin_checks_agree(global_model, name, constraints):
+    """Every buildable mutant of a local twin of global_model's copy of name
+    is rejected by FunctionalModel exactly as the recursive reference
+    rejects it, or accepted by both. The twin keeps the constraints among
+    its names, so only the trees differ. Returns how many were rejected."""
+    copy = global_model.feature(name)
+    rejected = 0
+    for change, tree in [("none", copy), *twin_mutants(copy)]:
+        names = tree_names(tree)
+        try:
+            local = local_twin(tree, [c for c in constraints
+                                      if c.lhs in names and c.rhs in names])
+        except FeatureModelError:
+            continue
+        expected = twin_message(
+            lambda: reference_check_subtree(copy, local.root, name, is_root=True))
+        assert twin_message(lambda: FunctionalModel(global_model, {name: local})) == expected, (
+            name, change)
+        rejected += expected is not None
+    return rejected
+
+
+def test_twin_check_agrees_with_the_reference_on_the_packaged_models(gis_definition):
+    functional = gis_definition.functional
+    for name, local in functional.locals.items():
+        rejected = assert_twin_checks_agree(functional.global_model, name, local.constraints)
+        assert rejected > len(local.features) * 4
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_twin_check_agrees_with_the_reference_on_random_models(seed):
+    rng = random.Random(2900 + seed)
+    rejected = 0
+    for _ in range(5):
+        g = random_feature_model(rng, max_features=10)
+        name = rng.choice([f.name for f in g.features if f.children])
+        rejected += assert_twin_checks_agree(g, name, g.constraints)
+    assert rejected > 0
 
 
 # -- multimodel wiring ---------------------------------------------------------

@@ -176,7 +176,7 @@ def test_reprs_leave_out_what_they_always_did():
 def test_plain_class_records_compare_every_field():
     model = build_feature_model(mandatory("G", optional("A"), optional("B")))
     assert model == MODEL and hash(model) == hash(MODEL)
-    model.index, model.rank_layout  # cached in the instance, not fields
+    model.features, model.end, model.rank_layout  # in the instance, not fields
     assert model == MODEL and repr(model) == repr(MODEL)
     assert repr(model) == (
         "FeatureModel(root=Feature(name='G', kind='mandatory', group=None, abstract=False, "
