@@ -9,12 +9,14 @@ error-severity diagnostic is present.
 The text is exactly what json.dumps(document, ensure_ascii=False, indent=2,
 sort_keys=True) writes for the document laid out as nested dicts and lists,
 plus a final newline; the tests keep that dict builder and call as the
-oracle. emit() builds no such tree. Straight
-from the spec and the resolved product, it fills templates of the document's
-fixed shape, keys in sorted order and each record indented for its depth,
-and quotes strings with the C json.encoder.encode_basestring. Elements share
-a handful of effective configurations: each distinct configuration is
-sorted and written once, and every element then costs one line.
+oracle. emit() builds no such tree. Straight from the spec and the resolved
+product, it fills one %s template per object shape of the document, and
+quotes strings with the C json.encoder.encode_basestring. One helper,
+_object(), builds every template at import from the object's indent and
+its keys in sorted order, laying fields out as _block() lays out an array.
+Elements share a handful of effective configurations: each distinct
+configuration is sorted and written once, and every element then costs one
+line.
 
 verify_schema() checks a JSON text against the closed derivation-config
 schema shipped with the package. It needs no third-party validator: on
@@ -48,25 +50,6 @@ def emit(resolved: ResolvedProduct) -> str:
     return _write(resolved)
 
 
-# Each template is laid out at the depth its value sits at in the document.
-# _block() takes the indent of the line its value starts on.
-
-_DOCUMENT = """{
-  "bindings": %s,
-  "data": {
-    "entities": %s
-  },
-  "features": %s,
-  "product": %s,
-  "schemaVersion": %d,
-  "visualization": {
-    "layers": %s,
-    "maps": %s
-  }
-}
-"""
-
-
 def _write(resolved: ResolvedProduct) -> str:
     """emit() without the error check. Raises ValueError for a coordinate
     that is not finite and TypeError for a name that is not a str."""
@@ -82,12 +65,12 @@ def _write(resolved: ResolvedProduct) -> str:
         bindings.append(f"{_quote(element)}: {text}")
     return _DOCUMENT % (
         _block("{}", bindings, 2),
-        _block("[]", [_write_entity(e) for e in spec.entities], 4),
+        _DATA % _block("[]", [_write_entity(e) for e in spec.entities], 4),
         _strings(resolved.included, 2),
         _quote(spec.product.name),
         SCHEMA_VERSION,
-        _block("[]", [_write_layer(l) for l in spec.layers], 4),
-        _block("[]", [_write_map(m) for m in spec.maps], 4))
+        _VISUALIZATION % (_block("[]", [_write_layer(l) for l in spec.layers], 4),
+                          _block("[]", [_write_map(m) for m in spec.maps], 4)))
 
 
 def _block(brackets: str, items: list[str], indent: int) -> str:
@@ -113,24 +96,29 @@ def _number(value: float) -> str:
     return float.__repr__(value)
 
 
-_ENTITY = """{
-        "name": %s,
-        "properties": %s
-      }"""
-_PROPERTY = """{
-            "flags": %s,
-            "name": %s,%s
-            "type": %s
-          }"""
-_MAPPED_BY = """
-            "relationship": {
-              "mappedBy": %s
-            },"""
-_CARDINALITIES = """
-            "relationship": {
-              "bidirectional": %s,
-              "cardinalities": %s
-            },"""
+def _object(indent: int, *keys: str) -> str:
+    """The %s template of a JSON object with these keys, given in sorted
+    order, whose first line is indented by indent."""
+    return _block("{}", [f"{_quote(key)}: %s" for key in keys], indent)
+
+
+# One template per object shape, keys in the order json.dumps(sort_keys=True)
+# writes them; an object with an optional field has a second template that
+# carries it.
+_DOCUMENT = _object(0, "bindings", "data", "features", "product", "schemaVersion",
+                    "visualization") + "\n"
+_DATA = _object(2, "entities")
+_VISUALIZATION = _object(2, "layers", "maps")
+_ENTITY = _object(6, "name", "properties")
+_PROPERTY = _object(10, "flags", "name", "type")
+_RELATED_PROPERTY = _object(10, "flags", "name", "relationship", "type")
+_MAPPED_BY = _object(12, "mappedBy")
+_CARDINALITIES = _object(12, "bidirectional", "cardinalities")
+_LAYER = _object(6, "displayName", "entity", "name", "source", "styles")
+_STYLE = _object(10, "default", "name")
+_MAP = _object(6, "displayName", "layers", "name")
+_CENTERED_MAP = _object(6, "center", "displayName", "layers", "name")
+_LAYER_REF = _object(10, "flags", "layer")
 
 
 def _write_entity(decl: EntityDecl) -> str:
@@ -139,29 +127,16 @@ def _write_entity(decl: EntityDecl) -> str:
 
 
 def _write_property(prop: PropertyDecl) -> str:
+    flags, name, type_name = _strings(prop.flags, 12), _quote(prop.name), _quote(prop.type_name)
     rel = prop.relationship
     if rel is None:
-        relationship = ""
-    elif rel.mapped_by is not None:
+        return _PROPERTY % (flags, name, type_name)
+    if rel.mapped_by is not None:
         relationship = _MAPPED_BY % _quote(rel.mapped_by)
     else:
         relationship = _CARDINALITIES % (
             _boolean(rel.bidirectional), _strings([str(c) for c in rel.cardinalities], 14))
-    return _PROPERTY % (_strings(prop.flags, 12), _quote(prop.name), relationship,
-                        _quote(prop.type_name))
-
-
-_LAYER = """{
-        "displayName": %s,
-        "entity": %s,
-        "name": %s,
-        "source": %s,
-        "styles": %s
-      }"""
-_STYLE = """{
-            "default": %s,
-            "name": %s
-          }"""
+    return _RELATED_PROPERTY % (flags, name, relationship, type_name)
 
 
 def _write_layer(decl: LayerDecl) -> str:
@@ -170,26 +145,13 @@ def _write_layer(decl: LayerDecl) -> str:
                      _quote(decl.source_kind), _block("[]", styles, 8))
 
 
-_MAP = """{%s
-        "displayName": %s,
-        "layers": %s,
-        "name": %s
-      }"""
-_CENTER = """
-        "center": %s,"""
-_LAYER_REF = """{
-            "flags": %s,
-            "layer": %s
-          }"""
-
-
 def _write_map(decl: MapDecl) -> str:
-    center = ""
-    if decl.center is not None:
-        pairs = [_block("[]", [_number(x) for x in pair], 10) for pair in decl.center.corners]
-        center = _CENTER % _block("[]", pairs, 8)
     refs = [_LAYER_REF % (_strings(r.flags, 12), _quote(r.name)) for r in decl.layers]
-    return _MAP % (center, _quote(decl.display_name), _block("[]", refs, 8), _quote(decl.name))
+    fields = (_quote(decl.display_name), _block("[]", refs, 8), _quote(decl.name))
+    if decl.center is None:
+        return _MAP % fields
+    pairs = [_block("[]", [_number(x) for x in pair], 10) for pair in decl.center.corners]
+    return _CENTERED_MAP % (_block("[]", pairs, 8), *fields)
 
 
 @lru_cache(maxsize=1)

@@ -10,6 +10,8 @@ prints as nothing, while an explicitly empty clause prints as
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from .syntax import (
     BoundingBox,
     EntityDecl,
@@ -75,7 +77,14 @@ def _layer_ref(ref: LayerRef) -> str:
 
 def _bbox(box: BoundingBox) -> str:
     (a, b), (c, d) = box.corners
-    return f"[[{a!r}, {b!r}], [{c!r}, {d!r}]]"
+    return f"[[{_number(a)}, {_number(b)}], [{_number(c)}, {_number(d)}]]"
+
+
+def _number(value: float) -> str:
+    # repr's shortest digits, but never in exponent form, which the lexer
+    # has no token for; an integer value keeps its ".0"
+    text = format(Decimal(repr(value)), "f")
+    return text if "." in text else text + ".0"
 
 
 def _product(decl: ProductDecl) -> str:

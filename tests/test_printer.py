@@ -5,6 +5,7 @@ import random
 import pytest
 
 from localfeatures import format_spec, parse
+from localfeatures.syntax import BoundingBox, LayerRef, MapDecl, ProductDecl, ProductSpec
 
 from generators import random_spec
 
@@ -77,6 +78,26 @@ def test_integer_valued_coordinates_keep_a_decimal_point():
     source = ("CREATE MAP m AS M WITH LAYERS (a IS_BASE_LAYER),\n"
               "WITH CENTER [[40.0, -74.0], [41.0, -73.0]];\nCREATE GIS X;")
     assert "WITH CENTER [[40.0, -74.0], [41.0, -73.0]]" in format_spec(parse(source))
+
+
+def test_coordinates_of_any_magnitude_print_without_an_exponent():
+    # repr writes 1e16 as 1e+16 and 0.00001 as 1e-05, which the lexer reads as
+    # a number followed by a bad character
+    rng = random.Random(2010)
+    values = [1e16, 0.00001, 1.7976931348623157e308, 5e-324, -0.0, -1e-300, 2.5e-7,
+              123456789012345680.0]
+    values += [rng.choice((-1, 1)) * rng.uniform(1, 10) * 10.0 ** rng.randint(-30, 30)
+               for _ in range(2000)]
+    maps = tuple(
+        MapDecl(f"m{i}", "M", (LayerRef("a", ("IS_BASE_LAYER",)),),
+                BoundingBox(((values[i], values[i + 1]), (values[i + 2], values[i + 3]))))
+        for i in range(0, len(values), 4))
+    spec = ProductSpec((), (), maps, ProductDecl("X"))
+    text = format_spec(spec)
+    assert "WITH CENTER [[10000000000000000.0, 0.00001], [" in text
+    reparsed = parse(text)
+    assert [repr(m.center) for m in reparsed.maps] == [repr(m.center) for m in maps]
+    assert format_spec(reparsed) == text
 
 
 @pytest.mark.parametrize("seed", range(200))
