@@ -98,11 +98,7 @@ class InvalidSelection(MultimodelError):
 
 
 class DuplicateBinding(MultimodelError):
-    """The (element, local model) pair is already bound; re-binding requires removal."""
-
-
-class NotApplicable(MultimodelError):
-    """The element is not covered by any applied-to declaration for the model."""
+    """The (element, local model) pair is already bound: a binding is made once."""
 
 
 # ---------------------------------------------------------------------------

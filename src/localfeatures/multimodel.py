@@ -5,11 +5,11 @@ A functional model pairs one global feature model with named local feature
 models. Each local model's tree is repeated inside the global model under a
 feature of the same name (the "global copy"); construction checks the two
 stay structurally identical. Applied-to declarations state which metaclass of
-which viewpoint a local model can bind to. An element of a matching kind may
-carry its own closed selection over the local model; elements without one
-fall back to the global default, the restriction of the global selection to
-the global copy's subtree: one object per local model, computed once, when the
-global selection is fixed at construction.
+which viewpoint a local model can bind to: the elements it covers. A covered
+element may carry one closed selection over the local model, bound once;
+elements without one fall back to the global default, the restriction of the
+global selection to the global copy's subtree: one object per local model,
+computed once, when the global selection is fixed at construction.
 
 Placed elements and bindings grow with the product, so neither is kept as
 an object per element, which the cyclic collector would track and walk on
@@ -31,7 +31,6 @@ from .errors import (
     EntityNameMismatch,
     InvalidSelection,
     KindMismatch,
-    NotApplicable,
     TwinMismatch,
     UnknownElement,
     UnknownLocalModel,
@@ -186,6 +185,8 @@ def _check_twin(global_model: FeatureModel, local: FeatureModel) -> None:
 class Multimodel:
     """The assembled product model: viewpoints, applied-to declarations,
     per-element local bindings, and the product's global selection.
+    Applied-to declarations are kept as (local model, viewpoint, metaclass)
+    keys: the one coverage test that binding and reading both run.
 
     Built single-threaded by a resolver; treat as immutable once resolved.
     The global selection is fixed at construction, where each local model's
@@ -216,17 +217,13 @@ class Multimodel:
         self._defaults: dict[str, Configuration] = {
             name: (self.global_selection & local.feature_names) | {local.root.name}
             for name, local in functional.locals.items()}
-        # (local model, viewpoint, metaclass) -> declaration, in declaration order
-        self._applied_to: dict[tuple[str, str, str], AppliedToDeclaration] = {}
+        # (local model, viewpoint, metaclass) of each declaration, in declaration order
+        self._applied_to: dict[tuple[str, str, str], None] = {}
         self._closures: dict[tuple[str, Configuration], tuple] = {}  # -> selection, trace, report
         # (element, local model) -> the _closures entry of the seeds it was bound to
         self._bindings: dict[tuple[str, str], tuple] = {}
 
     # -- structure ----------------------------------------------------------
-
-    @property
-    def applied_to(self) -> tuple[AppliedToDeclaration, ...]:
-        return tuple(self._applied_to.values())
 
     @property
     def bindings(self) -> tuple[LocalBinding, ...]:
@@ -247,6 +244,14 @@ class Multimodel:
             raise UnknownElement(f"no element {qualified_name!r} in the multimodel")
         return viewpoint, name, kind
 
+    def _check_covered(self, element: str, local_model: str) -> None:
+        """Raise KindMismatch unless the local model covers the element."""
+        viewpoint, _, kind = self._locate(element)
+        if (local_model, viewpoint, kind) not in self._applied_to:
+            raise KindMismatch(
+                f"local model {local_model!r} is not applied to any metaclass "
+                f"matching element {element!r} of kind {kind!r}")
+
     # -- construction -------------------------------------------------------
 
     def declare_applied_to(self, local_model: str, viewpoint: str, metaclass: str) -> Multimodel:
@@ -259,9 +264,7 @@ class Multimodel:
         if metaclass not in vp.metaclasses:
             raise UnknownMetaclass(
                 f"viewpoint {viewpoint!r} declares no metaclass {metaclass!r}")
-        key = (local_model, viewpoint, metaclass)
-        if key not in self._applied_to:
-            self._applied_to[key] = AppliedToDeclaration(*key)
+        self._applied_to[local_model, viewpoint, metaclass] = None
         return self
 
     def bind_local(self, element: str, local_model: str,
@@ -270,17 +273,13 @@ class Multimodel:
         return that closed selection, one object for equal seeds over a model.
 
         The stored selection always contains the local root and must validate
-        against the local model. One binding per (element, local model) pair;
-        re-binding requires removing the old binding first.
+        against the local model. A binding is made once: a second one for the
+        same (element, local model) pair is a DuplicateBinding.
         """
         local = self.functional.locals.get(local_model)
         if local is None:
             raise UnknownLocalModel(f"no local feature model named {local_model!r}")
-        viewpoint, _, kind = self._locate(element)
-        if (local_model, viewpoint, kind) not in self._applied_to:
-            raise KindMismatch(
-                f"local model {local_model!r} is not applied to any metaclass "
-                f"matching element {element!r} of kind {kind!r}")
+        self._check_covered(element, local_model)
         key = (element, local_model)
         if key in self._bindings:
             raise DuplicateBinding(
@@ -298,14 +297,6 @@ class Multimodel:
                 + "; ".join(v.message for v in report.violations))
         self._bindings[key] = closure
         return selection
-
-    def remove_binding(self, element: str, local_model: str) -> Multimodel:
-        try:
-            del self._bindings[(element, local_model)]
-        except KeyError:
-            raise UnknownElement(
-                f"no binding of {element!r} for local model {local_model!r}") from None
-        return self
 
     # -- queries ------------------------------------------------------------
 
@@ -331,11 +322,7 @@ class Multimodel:
 
     def effective_configuration(self, element: str, local_model: str) -> Configuration:
         """The element's binding if one exists, else the global default."""
-        viewpoint, _, kind = self._locate(element)
-        if (local_model, viewpoint, kind) not in self._applied_to:
-            raise NotApplicable(
-                f"local model {local_model!r} does not apply to element {element!r} "
-                f"of kind {kind!r}")
+        self._check_covered(element, local_model)
         closure = self._bindings.get((element, local_model))
         if closure is not None:
             return closure[0]

@@ -162,6 +162,8 @@ class _Resolution:
         mm = Multimodel(definition.functional, viewpoints, global_selection, validate=False)
         for decl in definition.applied_to:
             mm.declare_applied_to(decl.local_model, decl.viewpoint, decl.metaclass)
+        self.default_reports = {name: validate_configuration(local, mm.global_default(name))
+                                for name, local in definition.functional.locals.items()}
         self.place_all(mm)
         self.check_defaults(mm)
 
@@ -326,9 +328,11 @@ class _Resolution:
         each model's global default. A repeat (first is False) is not placed,
         nor is an element that cannot be; its clause is only checked. With
         one covering model, the multimodel's own object is recorded as is.
-        With several, a bound element's configuration, restricted to each
-        model's features in turn, must be valid in that model: nested
-        models can put a default beside a binding that rules it out."""
+        With several, the element's configuration, restricted to each
+        model's features in turn, must be valid in that model: nested models
+        can put a default beside a binding or another default that rules it
+        out. That is checked unless a clause failed to bind or a covering
+        model's own default is invalid, which is reported already."""
         seeds = self.clause_seeds(slot, name, clause)
         viewpoint, metaclass, kinds, covering = slot
         if not first:
@@ -359,7 +363,8 @@ class _Resolution:
             config = default if config is None else config | default
         if config is not None:
             self.effective[element] = config
-        if len(covering) > 1 and element in self.clause_spans:
+        if len(covering) > 1 and (element in self.clause_spans or seeds is None and all(
+                self.default_reports[local_model].valid for local_model in covering)):
             for local_model in covering:
                 local = self.definition.functional.locals[local_model]
                 report = validate_configuration(local, config & local.feature_names)
@@ -368,7 +373,7 @@ class _Resolution:
                     self.report("invalid-selection",
                                 f"{_described(metaclass, name)} gets a configuration that is "
                                 f"invalid against local model {local_model!r}: {detail}",
-                                clause.span)
+                                self.clause_spans.get(element, span))
                     break
 
     def clause_seeds(self, slot: tuple, name: str,
@@ -411,8 +416,7 @@ class _Resolution:
     # -- last: the global defaults elements fall back to ---------------------------
 
     def check_defaults(self, mm: Multimodel) -> None:
-        for name, local in self.definition.functional.locals.items():
-            report = validate_configuration(local, mm.global_default(name))
+        for name, report in self.default_reports.items():
             if report.valid:
                 continue
             detail = "; ".join(v.message for v in report.violations)

@@ -148,6 +148,32 @@ def test_check_and_emit_refuse_nested_local_models_that_clash(files, capsys, mon
     assert not list(files.glob(".emit-*"))
 
 
+@pytest.mark.parametrize("locals_", [("A", "B"), ("B", "A")], ids=["A-first", "B-first"])
+def test_check_and_emit_refuse_nested_defaults_that_clash(files, capsys, monkeypatch, locals_):
+    """E has no clause and takes both defaults, A's {A, X} and B's {B}: two
+    children of xor group A."""
+    monkeypatch.chdir(files)
+    spl = write(files, "xor.spl", (
+        "VIEWPOINT data (Entity);\nVIEWPOINT visualization (Layer, Map, LayerInMap);\n"
+        "FEATUREMODEL G { OPTIONAL A XOR { B { OPTIONAL Y } X } }\n"
+        "FEATUREMODEL A XOR { B { OPTIONAL Y } X }\nFEATUREMODEL B { OPTIONAL Y }\n"
+        + "".join(f"LOCAL {name} APPLIED TO data.Entity;\n" for name in locals_)
+        + "DEFAULTS (X);\n"))
+    spec = write(files, "xor.gis", "CREATE ENTITY E (id Long IDENTIFIER);\nCREATE GIS P;")
+    rc = main(["check", spec, "--spl", spl])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == "1 errors, 0 warnings\n"
+    assert err == (f"{spec}:1:1: error[invalid-selection]: entity 'E' gets a configuration "
+                   "that is invalid against local model 'A': xor group 'A' has 2 selected "
+                   "children, needs exactly 1\n")
+    rc = main(["emit", spec, "--spl", spl])
+    out, _ = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert not (files / "P.derivation.json").exists()
+    assert not list(files.glob(".emit-*"))
+
+
 def test_check_json_format(files, capsys):
     bad = write(files, "bad.gis",
                 "CREATE GIS X WITH FEATURES (Bogus, LeftMenu, TopMenu);")
